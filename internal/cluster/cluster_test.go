@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
@@ -473,11 +474,36 @@ func TestHedgedStraggler(t *testing.T) {
 	want := localRun(t, spec, nil)
 
 	var calls atomic.Int64
+	straggling, cancelled := make(chan struct{}), make(chan struct{})
 	slow := newWorkerServer(t, func(next http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/v1/shard" && calls.Add(1) == 1 {
+				close(straggling)
+				// Read the body first: net/http only watches the connection
+				// for a client hang-up, and so cancels r.Context(), once the
+				// body has been consumed.
+				body, err := io.ReadAll(r.Body)
+				if err != nil {
+					return
+				}
+				r.Body = io.NopCloser(bytes.NewReader(body))
 				select { // straggle, but honor cancellation
 				case <-time.After(10 * time.Second):
+				case <-r.Context().Done():
+					close(cancelled)
+					return
+				}
+			}
+			next.ServeHTTP(w, r)
+		})
+	})
+	// The fast worker holds its first shard until the slow one has leased
+	// the other, so it cannot take both shards before the straggle starts.
+	fast := newWorkerServer(t, func(next http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/shard" {
+				select {
+				case <-straggling:
 				case <-r.Context().Done():
 					return
 				}
@@ -485,7 +511,6 @@ func TestHedgedStraggler(t *testing.T) {
 			next.ServeHTTP(w, r)
 		})
 	})
-	fast := newWorkerServer(t, nil)
 
 	cfg := fastConfig(slow.URL, fast.URL)
 	cfg.ShardSize = 16 // two shards: one straggles, one runs normally
@@ -508,6 +533,11 @@ func TestHedgedStraggler(t *testing.T) {
 	}
 	if stripWall(buf.Bytes()) != stripWall(want.Bytes()) {
 		t.Fatalf("hedged artifact differs from local run")
+	}
+	select {
+	case <-cancelled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the hedge loser's handler never observed its request being cancelled")
 	}
 }
 

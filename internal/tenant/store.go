@@ -3,17 +3,17 @@ package tenant
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"time"
+
+	"oraclesize/internal/wal"
 )
 
 // Store is the durable, versioned tenant control plane behind a daemon's
@@ -22,12 +22,8 @@ import (
 // policy change — the version an elastic fleet converges on.
 //
 // On disk a store is a directory holding an atomic snapshot
-// (snapshot.json, written tmp+fsync+rename) plus an append-only
-// write-ahead log of CRC-framed JSON entries on the internal/warehouse
-// frame layout:
-//
-//	[4B big-endian payload length][4B big-endian CRC-32 (IEEE) of payload][payload]
-//
+// (snapshot.json, committed by wal.CommitFile) plus an append-only
+// write-ahead log (wal.log) of internal/wal frames holding JSON entries.
 // Every entry carries a global sequence number and replay is
 // last-writer-wins per target (a tenant's spec, a tenant's ledger) under
 // a canonical (seq, payload) ordering — so a replay of shuffled or
@@ -135,7 +131,7 @@ const (
 	storeFormat      = "oraclesize/tenantstore/v1"
 	storeSnapName    = "snapshot.json"
 	storeWALName     = "wal.log"
-	storeFrameHeader = 8
+	storeFrameHeader = wal.HeaderLen
 	// storeMaxPayload bounds one frame so a corrupt length prefix cannot
 	// trigger a giant allocation during replay; tenant entries are tiny.
 	storeMaxPayload = 1 << 20
@@ -225,38 +221,20 @@ func replayStoreWAL(path string) (entries []storeEntry, validLen int64, err erro
 		return nil, 0, fmt.Errorf("tenant: opening store wal: %w", err)
 	}
 	defer f.Close()
-	return replayStoreFrames(f)
+	entries, validLen = replayStoreFrames(f)
+	return entries, validLen, nil
 }
 
-func replayStoreFrames(rd io.Reader) (entries []storeEntry, validLen int64, err error) {
-	var header [storeFrameHeader]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(rd, header[:]); err != nil {
-			return entries, validLen, nil // clean EOF or torn header
-		}
-		length := binary.BigEndian.Uint32(header[:4])
-		sum := binary.BigEndian.Uint32(header[4:])
-		if length == 0 || length > storeMaxPayload {
-			return entries, validLen, nil
-		}
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(rd, payload); err != nil {
-			return entries, validLen, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, validLen, nil // corrupt frame
-		}
+func replayStoreFrames(rd io.Reader) (entries []storeEntry, validLen int64) {
+	validLen = wal.Replay(rd, storeMaxPayload, func(payload []byte) error {
 		var e storeEntry
 		if err := json.Unmarshal(payload, &e); err != nil {
-			return entries, validLen, nil
+			return err
 		}
 		entries = append(entries, e)
-		validLen += int64(storeFrameHeader) + int64(length)
-	}
+		return nil
+	})
+	return entries, validLen
 }
 
 // applyCanonical folds replayed entries into the store state in a
@@ -344,11 +322,8 @@ func (st *Store) append(e storeEntry, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("tenant: encoding store entry: %w", err)
 	}
-	st.buf = st.buf[:0]
-	st.buf = append(st.buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	st.buf = append(st.buf, payload...)
-	binary.BigEndian.PutUint32(st.buf[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(st.buf[4:8], crc32.ChecksumIEEE(payload))
+	st.buf = append(wal.Reserve(st.buf[:0]), payload...)
+	wal.Seal(st.buf)
 	if _, err := st.w.Write(st.buf); err != nil {
 		return fmt.Errorf("tenant: appending store entry: %w", err)
 	}
@@ -374,10 +349,7 @@ func (st *Store) syncLocked() (bool, error) {
 	if _, err := st.r.Seek(st.off, io.SeekStart); err != nil {
 		return false, fmt.Errorf("tenant: seeking wal: %w", err)
 	}
-	entries, n, err := replayStoreFrames(st.r)
-	if err != nil {
-		return false, err
-	}
+	entries, n := replayStoreFrames(st.r)
 	if n == 0 {
 		return false, nil
 	}
@@ -607,10 +579,10 @@ func (st *Store) Registry() (*Registry, error) {
 	return NewStoredRegistry(st.Specs())
 }
 
-// Compact checkpoints the store: the full state is written to a fresh
-// snapshot (tmp + fsync + rename, atomic on POSIX) and the WAL is
-// truncated. An administrative operation — run it from the CLI while no
-// daemon holds the store.
+// Compact checkpoints the store: the full state is committed to a fresh
+// snapshot with wal.CommitFile and the WAL is truncated. An
+// administrative operation — run it from the CLI while no daemon holds
+// the store.
 func (st *Store) Compact() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -627,23 +599,7 @@ func (st *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("tenant: encoding snapshot: %w", err)
 	}
-	tmp := filepath.Join(st.dir, storeSnapName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
-		return fmt.Errorf("tenant: writing snapshot: %w", err)
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return fmt.Errorf("tenant: writing snapshot: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("tenant: syncing snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("tenant: closing snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, filepath.Join(st.dir, storeSnapName)); err != nil {
+	if err := wal.CommitFile(filepath.Join(st.dir, storeSnapName), append(data, '\n'), 0o600); err != nil {
 		return fmt.Errorf("tenant: installing snapshot: %w", err)
 	}
 	if err := os.Truncate(filepath.Join(st.dir, storeWALName), 0); err != nil {

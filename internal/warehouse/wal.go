@@ -1,28 +1,23 @@
 package warehouse
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
+
+	"oraclesize/internal/wal"
 )
 
-// The write-ahead log is a sequence of CRC-framed entries:
-//
-//	[4B big-endian payload length][4B big-endian CRC-32 (IEEE) of payload][payload = entry]
-//
-// A deposit appends exactly one frame with a single write call. Replay
-// reads frames until the file ends or a frame fails its length or
-// checksum — everything after that point is a torn tail from a killed
-// process and is truncated away, so an interrupted deposit never
-// surfaces as a half-written unit.
+// The write-ahead log is a sequence of internal/wal frames, one per
+// deposit, each holding one encoded entry. A deposit appends its frame
+// with a single write call; replay stops at the first torn or corrupt
+// frame, so an interrupted deposit never surfaces as a half-written unit.
 
-const frameHeaderLen = 8
+// frameHeaderLen is the wal frame header length.
+const frameHeaderLen = wal.HeaderLen
 
 // maxFramePayload bounds one frame so a corrupt length prefix cannot
 // trigger a giant allocation during replay.
@@ -31,11 +26,8 @@ const maxFramePayload = 1 << 28
 // appendFrame encodes one entry as a WAL frame into buf.
 func appendFrame(buf []byte, e entry) []byte {
 	start := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
-	buf = appendEntry(buf, e)
-	payload := buf[start+frameHeaderLen:]
-	binary.BigEndian.PutUint32(buf[start:], uint32(len(payload)))
-	binary.BigEndian.PutUint32(buf[start+4:], crc32.ChecksumIEEE(payload))
+	buf = appendEntry(wal.Reserve(buf), e)
+	wal.Seal(buf[start:])
 	return buf
 }
 
@@ -52,34 +44,18 @@ func replayWAL(path string) (entries []entry, validLen int64, err error) {
 		return nil, 0, fmt.Errorf("warehouse: opening wal: %w", err)
 	}
 	defer f.Close()
-	var header [frameHeaderLen]byte
-	var payload []byte
-	for {
-		if _, err := io.ReadFull(f, header[:]); err != nil {
-			return entries, validLen, nil // clean EOF or torn header
-		}
-		length := binary.BigEndian.Uint32(header[:4])
-		sum := binary.BigEndian.Uint32(header[4:])
-		if length == 0 || length > maxFramePayload {
-			return entries, validLen, nil
-		}
-		if uint32(cap(payload)) < length {
-			payload = make([]byte, length)
-		}
-		payload = payload[:length]
-		if _, err := io.ReadFull(f, payload); err != nil {
-			return entries, validLen, nil // torn payload
-		}
-		if crc32.ChecksumIEEE(payload) != sum {
-			return entries, validLen, nil // corrupt frame
-		}
+	validLen = wal.Replay(f, maxFramePayload, func(payload []byte) error {
 		e, rest, err := decodeEntry(payload)
-		if err != nil || len(rest) != 0 {
-			return entries, validLen, nil
+		if err != nil {
+			return err
+		}
+		if len(rest) != 0 {
+			return fmt.Errorf("warehouse: %d trailing bytes after wal entry", len(rest))
 		}
 		entries = append(entries, e)
-		validLen += int64(frameHeaderLen) + int64(length)
-	}
+		return nil
+	})
+	return entries, validLen, nil
 }
 
 // walName renders the WAL filename for a sequence number.

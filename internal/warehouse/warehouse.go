@@ -37,6 +37,7 @@ import (
 	"sync/atomic"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/wal"
 )
 
 // Options tune an open warehouse. The zero value is ready for use.
@@ -253,7 +254,7 @@ func (w *Warehouse) commitManifest(man manifest) error {
 	if err != nil {
 		return fmt.Errorf("warehouse: encoding manifest: %w", err)
 	}
-	return commitFile(filepath.Join(w.dir, manifestName), data)
+	return wal.CommitFile(filepath.Join(w.dir, manifestName), data, 0o644)
 }
 
 // SpecHash returns the spec hash the store is pinned to ("" while empty
