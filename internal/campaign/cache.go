@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"oraclesize/internal/fifo"
 	"oraclesize/internal/graph"
 	"oraclesize/internal/graphgen"
 	"oraclesize/internal/oracle"
@@ -24,11 +25,11 @@ import (
 //
 // The key space is partitioned by hash into independently locked shards so
 // concurrent lookups — the oracled serving path runs one per request —
-// do not serialize on a single mutex. Capacity is divided evenly across
-// shards and each shard evicts FIFO on its own; a sharded cache may
-// therefore evict an entry a single-shard cache of the same total capacity
-// would have kept (and vice versa), which by the regeneration contract
-// above is a speed difference, never a correctness one.
+// do not serialize on a single mutex. Capacity is split exactly across
+// shards (fifo.Split) and each shard evicts FIFO on its own; a sharded
+// cache may therefore evict an entry a single-shard cache of the same total
+// capacity would have kept (and vice versa), which by the regeneration
+// contract above is a speed difference, never a correctness one.
 type instanceCache struct {
 	shards []cacheShard
 	mask   uint64
@@ -63,16 +64,12 @@ func (k instanceKey) hash() uint64 {
 	return h
 }
 
-// cacheShard is one independently locked slice of the key space. Eviction
-// order is tracked as order[head:]; evicting advances head instead of
-// re-slicing, and the dead prefix is periodically compacted in place so
-// the backing array stays bounded by ~2× the shard capacity (the old
-// order = order[1:] idiom pinned every appended backing array forever).
+// cacheShard is one independently locked slice of the key space; order
+// lists its keys oldest first.
 type cacheShard struct {
 	mu      sync.Mutex
 	entries map[instanceKey]*instanceEntry
-	order   []instanceKey
-	head    int
+	order   fifo.Queue[instanceKey]
 	cap     int
 }
 
@@ -80,26 +77,12 @@ func newInstanceCache(capacity int) *instanceCache {
 	return newShardedInstanceCache(capacity, 1)
 }
 
-// newShardedInstanceCache spreads capacity over the given shard count,
-// rounded up to a power of two and capped so every shard holds at least
-// one entry.
+// newShardedInstanceCache splits capacity over about the given shard count;
+// see fifo.Split for the rounding.
 func newShardedInstanceCache(capacity, shards int) *instanceCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	per := (capacity + n - 1) / n
-	c := &instanceCache{shards: make([]cacheShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
+	caps := fifo.Split(capacity, shards)
+	c := &instanceCache{shards: make([]cacheShard, len(caps)), mask: uint64(len(caps) - 1)}
+	for i, per := range caps {
 		c.shards[i].entries = make(map[instanceKey]*instanceEntry, per)
 		c.shards[i].cap = per
 	}
@@ -144,18 +127,11 @@ func (c *instanceCache) lookup(key instanceKey, fam graphgen.Family) (*instanceE
 	if !ok {
 		e = &instanceEntry{}
 		s.entries[key] = e
-		s.order = append(s.order, key)
-		if len(s.order)-s.head > s.cap {
+		s.order.Push(key)
+		if s.order.Len() > s.cap {
 			// Evicting an entry another worker still holds is safe: their
 			// pointer stays valid, the instance just stops being shared.
-			delete(s.entries, s.order[s.head])
-			s.order[s.head] = instanceKey{} // drop the family string reference
-			s.head++
-			if s.head > s.cap {
-				n := copy(s.order, s.order[s.head:])
-				s.order = s.order[:n]
-				s.head = 0
-			}
+			delete(s.entries, s.order.Pop())
 		}
 	}
 	s.mu.Unlock()
@@ -259,9 +235,10 @@ func NewCache(capacity int) *Cache {
 	return &Cache{c: newInstanceCache(capacity)}
 }
 
-// NewShardedCache returns a cache whose key space is partitioned into the
-// given number of independently locked shards (rounded up to a power of
-// two, at most capacity), with total capacity divided evenly across them.
+// NewShardedCache returns a cache whose key space is partitioned into about
+// the given number of independently locked shards (rounded up to a power of
+// two, capped at the largest power of two no greater than capacity), with
+// the total capacity split exactly across them.
 // Sharding changes which entries survive eviction pressure, never any
 // record contents.
 func NewShardedCache(capacity, shards int) *Cache {

@@ -171,10 +171,10 @@ func TestShardedCacheSpreadsKeys(t *testing.T) {
 }
 
 // TestEvictionOrderDoesNotLeak is the regression test for the FIFO order
-// slice: the old order = order[1:] idiom let the backing array grow with
-// every insertion ever made. Churning far more distinct instances than
-// the capacity through the cache must leave both the entry map and the
-// order slice's backing array bounded by the capacity, not the history.
+// list: churning far more distinct instances than the capacity through the
+// cache must leave both the entry map and the live order window bounded by
+// the capacity, not the history. The backing-array bound is pinned on
+// fifo.Queue itself (TestQueueChurnStaysBounded).
 func TestEvictionOrderDoesNotLeak(t *testing.T) {
 	const capacity = 4
 	c := newInstanceCache(capacity)
@@ -191,14 +191,37 @@ func TestEvictionOrderDoesNotLeak(t *testing.T) {
 	if len(s.entries) > capacity {
 		t.Errorf("entries = %d, want <= %d", len(s.entries), capacity)
 	}
-	// Compaction keeps the live window plus a bounded dead prefix; 4× the
-	// capacity is generous headroom over the ~2× the implementation aims
-	// for, while the old idiom would have accumulated thousands.
-	if got := cap(s.order); got > 4*capacity {
-		t.Errorf("order backing array holds %d slots after 10k insertions, want <= %d", got, 4*capacity)
-	}
-	if live := len(s.order) - s.head; live > capacity {
+	if live := s.order.Len(); live > capacity {
 		t.Errorf("live order window = %d, want <= %d", live, capacity)
+	}
+}
+
+// TestShardedCacheHoldsCapacity churns many distinct instances through
+// caches of awkward capacities and requires the live entry count never to
+// exceed the configured capacity. Rounding the shard count up and giving
+// every shard ceil(capacity/shards) slots used to let capacity 5 hold 8
+// instances and capacity 100 hold 104.
+func TestShardedCacheHoldsCapacity(t *testing.T) {
+	fam, err := graphgen.FamilyByName("path")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, capacity := range []int{1, 3, 5, 100, 128} {
+		c := newShardedInstanceCache(capacity, 8)
+		peak := 0
+		for seed := int64(0); seed < 10_000; seed++ {
+			if _, err := c.lookup(instanceKey{family: "path", n: 2, seed: seed}, fam); err != nil {
+				t.Fatal(err)
+			}
+			live := 0
+			for i := range c.shards {
+				live += len(c.shards[i].entries)
+			}
+			peak = max(peak, live)
+		}
+		if peak != capacity {
+			t.Errorf("capacity %d: peak live entries %d, want exactly %d", capacity, peak, capacity)
+		}
 	}
 }
 

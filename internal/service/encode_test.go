@@ -168,8 +168,9 @@ func TestResponseCacheDisabled(t *testing.T) {
 
 // TestRespCacheEvictionBounded mirrors the instance cache's leak
 // regression: churning far more keys than capacity through a shard must
-// leave both the map and the order slice's backing array bounded, and
-// oversized bodies must not be stored.
+// leave the map bounded, and oversized bodies must not be stored. The
+// order list's backing-array bound is pinned on fifo.Queue itself
+// (TestQueueChurnStaysBounded).
 func TestRespCacheEvictionBounded(t *testing.T) {
 	c := newRespCache(4, 1)
 	for i := 0; i < 10_000; i++ {
@@ -179,12 +180,31 @@ func TestRespCacheEvictionBounded(t *testing.T) {
 	if len(sh.entries) > 4 {
 		t.Errorf("entries = %d, want <= 4", len(sh.entries))
 	}
-	if got := cap(sh.order); got > 16 {
-		t.Errorf("order backing array holds %d slots after 10k puts, want <= 16", got)
-	}
 	c.put([]byte("big"), make([]byte, maxCachedResponse+1))
 	if c.get([]byte("big")) != nil {
 		t.Error("oversized body was cached")
+	}
+}
+
+// TestRespCacheHoldsCapacity churns many keys through response caches of
+// awkward capacities at the server's shard count and requires the live
+// entry count never to exceed the configured capacity (capacity 100 used
+// to hold 104).
+func TestRespCacheHoldsCapacity(t *testing.T) {
+	for _, capacity := range []int{1, 3, 5, 100, 128} {
+		c := newRespCache(capacity, cacheShards)
+		peak := 0
+		for i := 0; i < 10_000; i++ {
+			c.put([]byte(fmt.Sprintf("key-%d", i)), []byte("{}"))
+			live := 0
+			for j := range c.shards {
+				live += len(c.shards[j].entries)
+			}
+			peak = max(peak, live)
+		}
+		if peak != capacity {
+			t.Errorf("capacity %d: peak live entries %d, want exactly %d", capacity, peak, capacity)
+		}
 	}
 }
 
@@ -192,7 +212,7 @@ func TestRespCacheEvictionBounded(t *testing.T) {
 // queued, releasing the worker must drain the backlog in one wakeup —
 // observable as two batches (the solo first job, then the drained four).
 func TestBatchedDispatchDrainsQueue(t *testing.T) {
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, BatchMax: 4, ResponseCacheCapacity: -1})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 8, ResponseCacheCapacity: -1})
 	entered := make(chan struct{}, 8)
 	gate := make(chan struct{})
 	s.testHook = func() {

@@ -87,6 +87,12 @@ func (s *Server) instrumented(endpoint string, fn func(w http.ResponseWriter, r 
 				err = s.admit(ts)
 			}
 		}
+		var chunked *countingBody
+		if r.ContentLength < 0 {
+			// A chunked upload announces no length; charge what is read.
+			chunked = &countingBody{ReadCloser: r.Body}
+			r.Body = chunked
+		}
 		var body any
 		if err == nil {
 			body, err = fn(w, r, ts)
@@ -128,11 +134,25 @@ func (s *Server) instrumented(endpoint string, fn func(w http.ResponseWriter, r 
 		// admission work and response bytes just like a 200.
 		ts.ledger.requests.Add(1)
 		moved := int64(n)
-		if r.ContentLength > 0 {
+		if chunked != nil {
+			moved += chunked.n
+		} else {
 			moved += r.ContentLength
 		}
 		ts.ledger.bytes.Add(moved)
 	})
+}
+
+// countingBody counts the bytes read through a request body.
+type countingBody struct {
+	io.ReadCloser
+	n int64
+}
+
+func (c *countingBody) Read(p []byte) (int, error) {
+	n, err := c.ReadCloser.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // retrySeconds rounds a backoff hint up to whole seconds, minimum 1 — the

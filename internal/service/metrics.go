@@ -18,9 +18,13 @@ var latencyBuckets = [...]float64{
 	0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 }
 
+// histShards is how many ways each endpoint's latency histogram is split:
+// concurrent observers land on different shards and never serialize, and
+// the /metrics renderer sums across shards.
+const histShards = 8
+
 // histShard is one independently updated slice of an endpoint's latency
-// histogram. Eight clients observing concurrently land on different shards
-// and never serialize; the /metrics renderer sums across shards.
+// histogram.
 type histShard struct {
 	bins  [len(latencyBuckets)]atomic.Int64
 	count atomic.Int64
@@ -35,8 +39,7 @@ type endpointMetrics struct {
 	// code. 600 counters cost ~5 KiB per endpoint; in exchange the hot
 	// path is one bounds check and one atomic add.
 	codes  [600]atomic.Int64
-	shards []histShard
-	mask   uint64
+	shards [histShards]histShard
 }
 
 // observe records one finished request. The histogram shard is selected
@@ -46,7 +49,7 @@ func (em *endpointMetrics) observe(code int, d time.Duration) {
 	if code >= 0 && code < len(em.codes) {
 		em.codes[code].Add(1)
 	}
-	sh := &em.shards[uint64(d)&em.mask]
+	sh := &em.shards[uint64(d)%histShards]
 	secs := d.Seconds()
 	for i, ub := range latencyBuckets {
 		if secs <= ub {
@@ -94,19 +97,11 @@ type metrics struct {
 	respMisses atomic.Int64 // cacheable requests that executed
 	reloads    atomic.Int64 // tenant control-plane swaps since boot
 
-	histShards int
-	endpoints  map[string]*endpointMetrics
+	endpoints map[string]*endpointMetrics
 }
 
-func newMetrics(histShards int) *metrics {
-	if histShards < 1 {
-		histShards = 1
-	}
-	n := 1
-	for n < histShards {
-		n <<= 1
-	}
-	return &metrics{histShards: n, endpoints: make(map[string]*endpointMetrics)}
+func newMetrics() *metrics {
+	return &metrics{endpoints: make(map[string]*endpointMetrics)}
 }
 
 // endpoint registers (or returns) the named endpoint's table. It is called
@@ -116,7 +111,7 @@ func (m *metrics) endpoint(name string) *endpointMetrics {
 	if em, ok := m.endpoints[name]; ok {
 		return em
 	}
-	em := &endpointMetrics{shards: make([]histShard, m.histShards), mask: uint64(m.histShards - 1)}
+	em := &endpointMetrics{}
 	m.endpoints[name] = em
 	return em
 }

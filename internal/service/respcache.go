@@ -2,6 +2,8 @@ package service
 
 import (
 	"sync"
+
+	"oraclesize/internal/fifo"
 )
 
 // maxCachedResponse bounds the size of one cached encoded response. Typical
@@ -15,8 +17,8 @@ const maxCachedResponse = 16 << 10
 // the whole simulation is likewise a pure function of the request tuple, so
 // a repeat request can be answered with the previously encoded bytes
 // without touching the work queue at all. Entries are immutable once
-// stored; shards are independently locked with the same head-compacted FIFO
-// eviction as the instance cache.
+// stored; shards are independently locked with the same FIFO eviction as
+// the instance cache.
 //
 // Cached responses replay the first execution's wall_ns field verbatim —
 // the one response field that is not a function of the request. That is the
@@ -30,30 +32,16 @@ type respCache struct {
 type respShard struct {
 	mu      sync.Mutex
 	entries map[string][]byte
-	order   []string
-	head    int
+	order   fifo.Queue[string]
 	cap     int
 }
 
-// newRespCache spreads capacity over shards rounded up to a power of two,
-// capped so every shard holds at least one entry.
+// newRespCache splits capacity over about the given shard count; see
+// fifo.Split for the rounding.
 func newRespCache(capacity, shards int) *respCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if shards > capacity {
-		shards = capacity
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
-	}
-	per := (capacity + n - 1) / n
-	c := &respCache{shards: make([]respShard, n), mask: uint64(n - 1)}
-	for i := range c.shards {
+	caps := fifo.Split(capacity, shards)
+	c := &respCache{shards: make([]respShard, len(caps)), mask: uint64(len(caps) - 1)}
+	for i, per := range caps {
 		c.shards[i].entries = make(map[string][]byte, per)
 		c.shards[i].cap = per
 	}
@@ -102,15 +90,8 @@ func (c *respCache) put(key []byte, body []byte) {
 		return
 	}
 	s.entries[k] = body
-	s.order = append(s.order, k)
-	if len(s.order)-s.head > s.cap {
-		delete(s.entries, s.order[s.head])
-		s.order[s.head] = "" // drop the key string reference
-		s.head++
-		if s.head > s.cap {
-			n := copy(s.order, s.order[s.head:])
-			s.order = s.order[:n]
-			s.head = 0
-		}
+	s.order.Push(k)
+	if s.order.Len() > s.cap {
+		delete(s.entries, s.order.Pop())
 	}
 }

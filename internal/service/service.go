@@ -36,6 +36,18 @@ import (
 	"oraclesize/internal/tenant"
 )
 
+// Fixed serve-path sizes. A same-host ablation could not tell either one
+// set to 1 apart from these values, so they are constants, not Config
+// fields.
+const (
+	// batchMax caps how many queued jobs one worker drains per wakeup
+	// (see worker).
+	batchMax = 16
+	// cacheShards is the shard count the instance and response caches ask
+	// for (fifo.Split caps it for small capacities).
+	cacheShards = 8
+)
+
 // Config bounds the server. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the number of simulation executors (default GOMAXPROCS).
@@ -79,20 +91,6 @@ type Config struct {
 	// ArtifactDir is where campaign JSONL artifacts are written (default
 	// the OS temp dir).
 	ArtifactDir string
-	// BatchMax caps how many queued requests one worker drains per wakeup
-	// (default 16). Under load the queue/channel hand-off and scheduler
-	// wakeup are amortized across the batch; a solo request still executes
-	// on the first (blocking) receive, so unloaded latency is unchanged.
-	// 1 restores strict one-job-per-wakeup dispatch.
-	BatchMax int
-	// CacheShards partitions the shared instance cache into independently
-	// locked shards (default 8, rounded up to a power of two, at most
-	// CacheCapacity) so concurrent requests do not serialize on one mutex.
-	CacheShards int
-	// MetricsShards partitions each endpoint's latency histogram into
-	// independently updated shards (default 8, rounded up to a power of
-	// two). Request/status counters are always single atomics.
-	MetricsShards int
 	// ResponseCacheCapacity bounds the deterministic response cache, which
 	// memoizes encoded 200 responses for repeatable /v1/advice and /v1/run
 	// requests (queue engine only) and serves repeats without touching the
@@ -153,15 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CampaignHistory <= 0 {
 		c.CampaignHistory = 32
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 16
-	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 8
-	}
-	if c.MetricsShards <= 0 {
-		c.MetricsShards = 8
 	}
 	if c.ResponseCacheCapacity == 0 {
 		c.ResponseCacheCapacity = 4096
@@ -229,13 +218,13 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:     cfg,
-		metrics: newMetrics(cfg.MetricsShards),
-		cache:   campaign.NewShardedCache(cfg.CacheCapacity, cfg.CacheShards),
+		metrics: newMetrics(),
+		cache:   campaign.NewShardedCache(cfg.CacheCapacity, cacheShards),
 		sched:   tenant.NewScheduler[*job](cfg.QueueDepth),
 	}
 	s.initTenancy()
 	if cfg.ResponseCacheCapacity > 0 {
-		s.responses = newRespCache(cfg.ResponseCacheCapacity, cfg.CacheShards)
+		s.responses = newRespCache(cfg.ResponseCacheCapacity, cacheShards)
 	}
 	s.campaigns = newCampaignManager(s)
 	s.mux = s.routes()
@@ -321,15 +310,15 @@ func (s *Server) enqueue(ts *tenantState, j *job) error {
 var errBusy = fmt.Errorf("service: work queue full")
 
 // worker runs the batched dispatch loop: block for a batch of up to
-// BatchMax jobs in weighted-fair order and execute it before touching the
+// batchMax jobs in weighted-fair order and execute it before touching the
 // scheduler again. Under load this amortizes scheduler wakeups across the
 // batch; an idle server executes the solo job straight off the blocking
 // dequeue, so single-request latency is the same as unbatched dispatch.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	buf := make([]*job, 0, s.cfg.BatchMax)
+	buf := make([]*job, 0, batchMax)
 	for {
-		batch := s.sched.DequeueBatch(buf[:0], s.cfg.BatchMax)
+		batch := s.sched.DequeueBatch(buf[:0], batchMax)
 		if batch == nil {
 			return // closed and drained
 		}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"oraclesize/internal/campaign"
+	"oraclesize/internal/fifo"
 )
 
 // ---- POST /v1/shard ----
@@ -45,7 +46,7 @@ type shardResponse struct {
 type unitsCache struct {
 	mu      sync.Mutex
 	entries map[string][]campaign.Unit
-	order   []string
+	order   fifo.Queue[string]
 }
 
 const unitsCacheCap = 4
@@ -62,10 +63,9 @@ func (c *unitsCache) units(spec *campaign.Spec) []campaign.Unit {
 	}
 	units := spec.Units()
 	c.entries[hash] = units
-	c.order = append(c.order, hash)
-	if len(c.order) > unitsCacheCap {
-		delete(c.entries, c.order[0])
-		c.order = c.order[1:]
+	c.order.Push(hash)
+	if c.order.Len() > unitsCacheCap {
+		delete(c.entries, c.order.Pop())
 	}
 	return units
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -381,6 +382,45 @@ func TestTenantQueueDepthMetric(t *testing.T) {
 	}
 }
 
+// TestChunkedBodyChargedToLedger posts the same /v1/run body once with a
+// Content-Length and once chunked (no announced length): the usage ledger
+// must charge both the body plus the response, so both cost the same.
+func TestChunkedBodyChargedToLedger(t *testing.T) {
+	s := newTestServer(t, Config{Tenants: testRegistry(t)})
+	data, err := json.Marshal(tenantRunBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ledger := &s.table().states["interactive"].ledger
+	var charged []int64
+	for _, chunked := range []bool{false, true} {
+		var body io.Reader = bytes.NewReader(data)
+		if chunked {
+			body = io.MultiReader(body) // hides the length: ContentLength -1
+		}
+		req := httptest.NewRequest("POST", "/v1/run", body)
+		if chunked != (req.ContentLength < 0) {
+			t.Fatalf("chunked=%v but ContentLength = %d", chunked, req.ContentLength)
+		}
+		req.Header.Set("X-API-Key", "interactive-key")
+		before := ledger.bytes.Load()
+		w := httptest.NewRecorder()
+		s.Handler().ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			t.Fatalf("chunked=%v: status %d: %s", chunked, w.Code, w.Body.String())
+		}
+		got := ledger.bytes.Load() - before
+		if want := int64(len(data) + w.Body.Len()); got != want {
+			t.Errorf("chunked=%v: charged %d bytes, want %d (body %d + response %d)",
+				chunked, got, want, len(data), w.Body.Len())
+		}
+		charged = append(charged, got)
+	}
+	if charged[0] != charged[1] {
+		t.Errorf("same body charged %d bytes with Content-Length, %d chunked", charged[0], charged[1])
+	}
+}
+
 // TestServiceFairnessUnderBulkLoad is the end-to-end fairness check: with a
 // bulk tenant's backlog parked in the queue, an interactive tenant's
 // request admitted afterwards executes within one DRR rotation — it does
@@ -390,7 +430,7 @@ func TestServiceFairnessUnderBulkLoad(t *testing.T) {
 		tenant.Spec{Name: "bulkload", Key: "bulkload-key0", Weight: 1},
 		tenant.Spec{Name: "inter", Key: "inter-key-000", Weight: 4},
 	)
-	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, BatchMax: 4, Tenants: reg})
+	s := newTestServer(t, Config{Workers: 1, QueueDepth: 64, Tenants: reg})
 
 	var mu sync.Mutex
 	var order []string

@@ -3,6 +3,8 @@ package tenant
 import (
 	"errors"
 	"sync"
+
+	"oraclesize/internal/fifo"
 )
 
 // ErrFull rejects an enqueue because the scheduler's global capacity is
@@ -37,46 +39,14 @@ type Scheduler[T any] struct {
 	cur    int
 }
 
-// schedQueue is one tenant's FIFO plus its DRR accounting. The items
-// slice is head-compacted so a long-lived queue does not leak its
-// drained prefix.
+// schedQueue is one tenant's FIFO plus its DRR accounting.
 type schedQueue[T any] struct {
 	id      string
 	weight  int
 	slots   int
-	items   []T
-	head    int
+	items   fifo.Queue[T]
 	deficit int
 	active  bool
-}
-
-func (q *schedQueue[T]) len() int { return len(q.items) - q.head }
-
-func (q *schedQueue[T]) push(item T) {
-	if q.head > 0 && q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	}
-	q.items = append(q.items, item)
-}
-
-func (q *schedQueue[T]) pop() T {
-	item := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero // drop the reference for the GC
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		for i := n; i < len(q.items); i++ {
-			q.items[i] = zero
-		}
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	return item
 }
 
 // NewScheduler builds a scheduler with the given global capacity (total
@@ -113,10 +83,10 @@ func (s *Scheduler[T]) Enqueue(id string, weight, slots int, item T) error {
 	// Weight and slots ride along on every enqueue so a registry reload
 	// (future work) or differing callers converge on the latest values.
 	q.weight, q.slots = weight, slots
-	if slots > 0 && q.len() >= slots {
+	if slots > 0 && q.items.Len() >= slots {
 		return ErrTenantFull
 	}
-	q.push(item)
+	q.items.Push(item)
 	s.size++
 	if !q.active {
 		q.active = true
@@ -154,20 +124,20 @@ func (s *Scheduler[T]) DequeueBatch(buf []T, max int) []T {
 			q.deficit = q.weight
 		}
 		take := q.deficit
-		if l := q.len(); take > l {
+		if l := q.items.Len(); take > l {
 			take = l
 		}
 		if r := max - n; take > r {
 			take = r
 		}
 		for i := 0; i < take; i++ {
-			buf = append(buf, q.pop())
+			buf = append(buf, q.items.Pop())
 		}
 		n += take
 		s.size -= take
 		q.deficit -= take
 		switch {
-		case q.len() == 0:
+		case q.items.Len() == 0:
 			// Drained: leave the rotation and forfeit leftover deficit,
 			// so an idle tenant cannot bank credit while away.
 			q.deficit = 0
@@ -207,7 +177,7 @@ func (s *Scheduler[T]) Depths() map[string]int {
 	defer s.mu.Unlock()
 	d := make(map[string]int, len(s.queues))
 	for id, q := range s.queues {
-		d[id] = q.len()
+		d[id] = q.items.Len()
 	}
 	return d
 }

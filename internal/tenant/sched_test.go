@@ -110,7 +110,7 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain in batches of 16 (the serve-path BatchMax) and record how many
+	// Drain in batches of 16 (the serve path's batch size) and record how many
 	// items dequeue before the interactive one.
 	pos, seen := 0, false
 	for !seen {
