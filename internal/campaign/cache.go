@@ -23,18 +23,15 @@ import (
 // regenerates the instance from its seed, so cache state never affects
 // results — only speed.
 //
-// The key space is partitioned by hash into independently locked shards so
-// concurrent lookups — the oracled serving path runs one per request —
-// do not serialize on a single mutex. Capacity is split exactly across
-// shards (fifo.Split) and each shard evicts FIFO on its own; a sharded
-// cache may therefore evict an entry a single-shard cache of the same total
-// capacity would have kept (and vice versa), which by the regeneration
-// contract above is a speed difference, never a correctness one.
+// One mutex guards the map and the eviction queue; order lists the keys
+// oldest first, so eviction is exact FIFO over the configured capacity.
 type instanceCache struct {
-	shards []cacheShard
-	mask   uint64
-	hits   atomic.Int64
-	misses atomic.Int64
+	mu      sync.Mutex
+	entries map[instanceKey]*instanceEntry
+	order   fifo.Queue[instanceKey]
+	cap     int
+	hits    atomic.Int64
+	misses  atomic.Int64
 }
 
 // instanceKey identifies one cached instance without string formatting:
@@ -46,47 +43,10 @@ type instanceKey struct {
 	seed   int64
 }
 
-// hash is FNV-1a over the key's fields, used for shard selection.
-func (k instanceKey) hash() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(k.family); i++ {
-		h ^= uint64(k.family[i])
-		h *= prime64
-	}
-	h ^= uint64(k.n)
-	h *= prime64
-	h ^= uint64(k.seed)
-	h *= prime64
-	return h
-}
-
-// cacheShard is one independently locked slice of the key space; order
-// lists its keys oldest first.
-type cacheShard struct {
-	mu      sync.Mutex
-	entries map[instanceKey]*instanceEntry
-	order   fifo.Queue[instanceKey]
-	cap     int
-}
-
+// newInstanceCache returns a cache bounded to capacity instances (minimum 1).
 func newInstanceCache(capacity int) *instanceCache {
-	return newShardedInstanceCache(capacity, 1)
-}
-
-// newShardedInstanceCache splits capacity over about the given shard count;
-// see fifo.Split for the rounding.
-func newShardedInstanceCache(capacity, shards int) *instanceCache {
-	caps := fifo.Split(capacity, shards)
-	c := &instanceCache{shards: make([]cacheShard, len(caps)), mask: uint64(len(caps) - 1)}
-	for i, per := range caps {
-		c.shards[i].entries = make(map[instanceKey]*instanceEntry, per)
-		c.shards[i].cap = per
-	}
-	return c
+	capacity = max(capacity, 1)
+	return &instanceCache{entries: make(map[instanceKey]*instanceEntry, capacity), cap: capacity}
 }
 
 // instanceEntry is one cached instance. The graph is generated at most once
@@ -121,20 +81,19 @@ type adviceResult struct {
 // lookup returns the entry stored under key, generating the graph on first
 // use from the key's seed.
 func (c *instanceCache) lookup(key instanceKey, fam graphgen.Family) (*instanceEntry, error) {
-	s := &c.shards[key.hash()&c.mask]
-	s.mu.Lock()
-	e, ok := s.entries[key]
+	c.mu.Lock()
+	e, ok := c.entries[key]
 	if !ok {
 		e = &instanceEntry{}
-		s.entries[key] = e
-		s.order.Push(key)
-		if s.order.Len() > s.cap {
+		c.entries[key] = e
+		c.order.Push(key)
+		if c.order.Len() > c.cap {
 			// Evicting an entry another worker still holds is safe: their
 			// pointer stays valid, the instance just stops being shared.
-			delete(s.entries, s.order.Pop())
+			delete(c.entries, c.order.Pop())
 		}
 	}
-	s.mu.Unlock()
+	c.mu.Unlock()
 	if ok {
 		c.hits.Add(1)
 	} else {
@@ -222,28 +181,21 @@ func (s CacheStats) Sub(earlier CacheStats) CacheStats {
 // Cache is the exported handle on a bounded instance cache, for callers
 // that keep one alive across many executions (the oracled service shares
 // one between its request handlers and its campaign runs). The zero value
-// is not usable; construct with NewCache or NewShardedCache.
+// is not usable; construct with NewCache.
 type Cache struct {
 	c *instanceCache
 }
 
 // NewCache returns a cache bounded to the given number of instances
-// (minimum 1), evicted FIFO, with a single lock — the right shape for a
-// worker pool that looks instances up once per unit. Concurrent servers
-// should use NewShardedCache.
+// (minimum 1), evicted FIFO, with a single lock.
 func NewCache(capacity int) *Cache {
 	return &Cache{c: newInstanceCache(capacity)}
 }
 
-// NewShardedCache returns a cache whose key space is partitioned into about
-// the given number of independently locked shards (rounded up to a power of
-// two, capped at the largest power of two no greater than capacity), with
-// the total capacity split exactly across them.
-// Sharding changes which entries survive eviction pressure, never any
-// record contents.
-func NewShardedCache(capacity, shards int) *Cache {
-	return &Cache{c: newShardedInstanceCache(capacity, shards)}
-}
+// NewShardedCache is NewCache; the shard count is ignored.
+//
+// Deprecated: use NewCache.
+func NewShardedCache(capacity, _ int) *Cache { return NewCache(capacity) }
 
 // Stats snapshots the cumulative hit/miss counters.
 func (c *Cache) Stats() CacheStats {

@@ -101,75 +101,6 @@ func TestSharedCacheAcrossSpecSeeds(t *testing.T) {
 	}
 }
 
-// TestShardedCacheDoesNotChangeRecords extends the transparency contract
-// to the sharded constructor the oracled service uses: task units run
-// against a many-shard cache must produce exactly the records an
-// unsharded (and an uncached) run would.
-func TestShardedCacheDoesNotChangeRecords(t *testing.T) {
-	spec, units := taskUnits(t)
-	hash := spec.Hash()
-	sharded := newShardedInstanceCache(len(units), 8)
-	for _, u := range units {
-		got, err := runUnit(spec, hash, u, sharded)
-		if err != nil {
-			t.Fatalf("%s sharded: %v", u.Key(), err)
-		}
-		want, err := runUnit(spec, hash, u, nil)
-		if err != nil {
-			t.Fatalf("%s uncached: %v", u.Key(), err)
-		}
-		for i := range got {
-			got[i].WallNS = 0
-		}
-		for i := range want {
-			want[i].WallNS = 0
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: sharded-cache records differ from uncached:\nsharded:  %+v\nuncached: %+v",
-				u.Key(), got, want)
-		}
-	}
-}
-
-// TestShardedCacheSpreadsKeys sanity-checks the partitioning: distinct
-// seeds land in more than one shard, and total capacity is preserved.
-func TestShardedCacheSpreadsKeys(t *testing.T) {
-	c := newShardedInstanceCache(64, 8)
-	if len(c.shards) != 8 {
-		t.Fatalf("shards = %d, want 8", len(c.shards))
-	}
-	fam, err := graphgen.FamilyByName("random-sparse")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := int64(0); seed < 64; seed++ {
-		if _, err := c.lookup(instanceKey{family: "random-sparse", n: 8, seed: seed}, fam); err != nil {
-			t.Fatal(err)
-		}
-	}
-	populated := 0
-	total := 0
-	for i := range c.shards {
-		if n := len(c.shards[i].entries); n > 0 {
-			populated++
-			total += n
-		}
-	}
-	if populated < 2 {
-		t.Errorf("64 distinct keys landed in %d shard(s); hash is not spreading", populated)
-	}
-	if total > 64 {
-		t.Errorf("sharded cache holds %d entries, capacity 64", total)
-	}
-	// Shard counts round up to a power of two and never exceed capacity.
-	if got := len(newShardedInstanceCache(4, 100).shards); got != 4 {
-		t.Errorf("shards(cap=4, want 100) = %d, want 4", got)
-	}
-	if got := len(newShardedInstanceCache(64, 5).shards); got != 8 {
-		t.Errorf("shards(cap=64, want 5) = %d, want 8 (next power of two)", got)
-	}
-}
-
 // TestEvictionOrderDoesNotLeak is the regression test for the FIFO order
 // list: churning far more distinct instances than the capacity through the
 // cache must leave both the entry map and the live order window bounded by
@@ -187,37 +118,30 @@ func TestEvictionOrderDoesNotLeak(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s := &c.shards[0]
-	if len(s.entries) > capacity {
-		t.Errorf("entries = %d, want <= %d", len(s.entries), capacity)
+	if len(c.entries) > capacity {
+		t.Errorf("entries = %d, want <= %d", len(c.entries), capacity)
 	}
-	if live := s.order.Len(); live > capacity {
+	if live := c.order.Len(); live > capacity {
 		t.Errorf("live order window = %d, want <= %d", live, capacity)
 	}
 }
 
-// TestShardedCacheHoldsCapacity churns many distinct instances through
-// caches of awkward capacities and requires the live entry count never to
-// exceed the configured capacity. Rounding the shard count up and giving
-// every shard ceil(capacity/shards) slots used to let capacity 5 hold 8
-// instances and capacity 100 hold 104.
-func TestShardedCacheHoldsCapacity(t *testing.T) {
+// TestCacheHoldsCapacity churns many distinct instances through caches of
+// awkward capacities and requires the live entry count to reach exactly the
+// configured capacity and never exceed it.
+func TestCacheHoldsCapacity(t *testing.T) {
 	fam, err := graphgen.FamilyByName("path")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, capacity := range []int{1, 3, 5, 100, 128} {
-		c := newShardedInstanceCache(capacity, 8)
+		c := newInstanceCache(capacity)
 		peak := 0
 		for seed := int64(0); seed < 10_000; seed++ {
 			if _, err := c.lookup(instanceKey{family: "path", n: 2, seed: seed}, fam); err != nil {
 				t.Fatal(err)
 			}
-			live := 0
-			for i := range c.shards {
-				live += len(c.shards[i].entries)
-			}
-			peak = max(peak, live)
+			peak = max(peak, len(c.entries))
 		}
 		if peak != capacity {
 			t.Errorf("capacity %d: peak live entries %d, want exactly %d", capacity, peak, capacity)

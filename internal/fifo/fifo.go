@@ -1,6 +1,5 @@
 // Package fifo holds the FIFO queue behind every insertion-order eviction
-// list and per-tenant backlog in this repository, and the capacity split
-// the sharded caches share.
+// list and per-tenant backlog in this repository.
 package fifo
 
 // Queue is a first-in first-out queue over a slice. Popping advances a head
@@ -39,26 +38,4 @@ func (q *Queue[T]) Pop() T {
 		q.head = 0
 	}
 	return v
-}
-
-// Split divides capacity across a power-of-two number of shards for a cache
-// whose key hash picks a shard by mask. The shard count is wanted rounded up
-// to a power of two, then capped at the largest power of two no greater than
-// capacity so every shard holds at least one entry. The returned per-shard
-// capacities sum to exactly capacity. Capacity and wanted are taken as at
-// least 1.
-func Split(capacity, wanted int) []int {
-	capacity = max(capacity, 1)
-	n := 1
-	for n < wanted && 2*n <= capacity {
-		n <<= 1
-	}
-	caps := make([]int, n)
-	for i := range caps {
-		caps[i] = capacity / n
-		if i < capacity%n {
-			caps[i]++
-		}
-	}
-	return caps
 }

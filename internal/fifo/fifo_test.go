@@ -101,38 +101,3 @@ func TestQueueSteadyStateAllocs(t *testing.T) {
 		t.Errorf("Push+Pop = %.1f allocs, want 0", allocs)
 	}
 }
-
-func TestSplit(t *testing.T) {
-	for _, tc := range []struct {
-		capacity, wanted int
-		shards           int
-	}{
-		{4, 100, 4},
-		{64, 5, 8},
-		{5, 8, 4},
-		{3, 8, 2},
-		{1, 8, 1},
-		{100, 8, 8},
-		{128, 8, 8},
-		{4096, 8, 8},
-		{10, 1, 1},
-		{0, 0, 1},
-		{-3, 8, 1},
-	} {
-		caps := Split(tc.capacity, tc.wanted)
-		if len(caps) != tc.shards {
-			t.Errorf("Split(%d, %d) has %d shards, want %d", tc.capacity, tc.wanted, len(caps), tc.shards)
-		}
-		sum, lo, hi := 0, caps[0], caps[0]
-		for _, c := range caps {
-			sum += c
-			lo, hi = min(lo, c), max(hi, c)
-		}
-		if want := max(tc.capacity, 1); sum != want {
-			t.Errorf("Split(%d, %d) = %v sums to %d, want %d", tc.capacity, tc.wanted, caps, sum, want)
-		}
-		if lo < 1 || hi-lo > 1 {
-			t.Errorf("Split(%d, %d) = %v, want every shard 1+ and within one of the others", tc.capacity, tc.wanted, caps)
-		}
-	}
-}

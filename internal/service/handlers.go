@@ -676,8 +676,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request, _ *tenant
 		// draining instead of evicting it — and the Retry-After bound says
 		// how long its in-flight work may still take.
 		status = "draining"
-		retry := int64((s.drainRetryAfter() + time.Second - 1) / time.Second)
-		w.Header().Set("Retry-After", strconv.FormatInt(retry, 10))
+		w.Header().Set("Retry-After", strconv.FormatInt(retrySeconds(s.drainRetryAfter()), 10))
 	}
 	return &healthResponse{
 		Status:             status,

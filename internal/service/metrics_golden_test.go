@@ -63,7 +63,6 @@ func TestMetricsGolden(t *testing.T) {
 	m.inflight.Store(3)
 	m.dropped.Store(1)
 	m.shardUnits.Store(40)
-	m.batches.Store(9)
 	m.dispatched.Store(12)
 	m.respHits.Store(5)
 	m.respMisses.Store(6)

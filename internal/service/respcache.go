@@ -17,49 +17,24 @@ const maxCachedResponse = 16 << 10
 // the whole simulation is likewise a pure function of the request tuple, so
 // a repeat request can be answered with the previously encoded bytes
 // without touching the work queue at all. Entries are immutable once
-// stored; shards are independently locked with the same FIFO eviction as
-// the instance cache.
+// stored; one mutex guards the map and the same exact FIFO eviction as the
+// instance cache.
 //
 // Cached responses replay the first execution's wall_ns field verbatim —
 // the one response field that is not a function of the request. That is the
 // honest reading: wall_ns reports the cost of the simulation that produced
 // the numbers, and a cache hit did not run one.
 type respCache struct {
-	shards []respShard
-	mask   uint64
-}
-
-type respShard struct {
 	mu      sync.Mutex
 	entries map[string][]byte
 	order   fifo.Queue[string]
 	cap     int
 }
 
-// newRespCache splits capacity over about the given shard count; see
-// fifo.Split for the rounding.
-func newRespCache(capacity, shards int) *respCache {
-	caps := fifo.Split(capacity, shards)
-	c := &respCache{shards: make([]respShard, len(caps)), mask: uint64(len(caps) - 1)}
-	for i, per := range caps {
-		c.shards[i].entries = make(map[string][]byte, per)
-		c.shards[i].cap = per
-	}
-	return c
-}
-
-// fnv1a hashes a key for shard selection.
-func fnv1a(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+// newRespCache returns a cache bounded to capacity responses (minimum 1).
+func newRespCache(capacity int) *respCache {
+	capacity = max(capacity, 1)
+	return &respCache{entries: make(map[string][]byte, capacity), cap: capacity}
 }
 
 // get returns the cached encoded response for key, or nil. The returned
@@ -67,10 +42,9 @@ func fnv1a(key []byte) uint64 {
 // nothing else. Looking up with a []byte key allocates nothing (the
 // map[string(key)] conversion is compiler-recognized).
 func (c *respCache) get(key []byte) []byte {
-	s := &c.shards[fnv1a(key)&c.mask]
-	s.mu.Lock()
-	body := s.entries[string(key)]
-	s.mu.Unlock()
+	c.mu.Lock()
+	body := c.entries[string(key)]
+	c.mu.Unlock()
 	return body
 }
 
@@ -82,16 +56,15 @@ func (c *respCache) put(key []byte, body []byte) {
 	if len(body) > maxCachedResponse {
 		return
 	}
-	s := &c.shards[fnv1a(key)&c.mask]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	k := string(key)
-	if _, ok := s.entries[k]; ok {
+	if _, ok := c.entries[k]; ok {
 		return
 	}
-	s.entries[k] = body
-	s.order.Push(k)
-	if s.order.Len() > s.cap {
-		delete(s.entries, s.order.Pop())
+	c.entries[k] = body
+	c.order.Push(k)
+	if c.order.Len() > c.cap {
+		delete(c.entries, c.order.Pop())
 	}
 }

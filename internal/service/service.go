@@ -36,18 +36,6 @@ import (
 	"oraclesize/internal/tenant"
 )
 
-// Fixed serve-path sizes. A same-host ablation could not tell either one
-// set to 1 apart from these values, so they are constants, not Config
-// fields.
-const (
-	// batchMax caps how many queued jobs one worker drains per wakeup
-	// (see worker).
-	batchMax = 16
-	// cacheShards is the shard count the instance and response caches ask
-	// for (fifo.Split caps it for small capacities).
-	cacheShards = 8
-)
-
 // Config bounds the server. The zero value selects sensible defaults.
 type Config struct {
 	// Workers is the number of simulation executors (default GOMAXPROCS).
@@ -192,8 +180,8 @@ type Server struct {
 	flushStop chan struct{}
 
 	// sched is the bounded work queue: per-tenant FIFOs drained by weighted
-	// deficit-round-robin. With one active tenant it degrades to the plain
-	// batched FIFO of the serve-path fast lane.
+	// deficit-round-robin. With one active tenant it degrades to a plain
+	// FIFO.
 	sched *tenant.Scheduler[*job]
 	// draining mirrors stopped for lock-free reads: the response-cache fast
 	// lane consults it so a stopped server sheds repeats like any other
@@ -219,12 +207,12 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		metrics: newMetrics(),
-		cache:   campaign.NewShardedCache(cfg.CacheCapacity, cacheShards),
+		cache:   campaign.NewCache(cfg.CacheCapacity),
 		sched:   tenant.NewScheduler[*job](cfg.QueueDepth),
 	}
 	s.initTenancy()
 	if cfg.ResponseCacheCapacity > 0 {
-		s.responses = newRespCache(cfg.ResponseCacheCapacity, cacheShards)
+		s.responses = newRespCache(cfg.ResponseCacheCapacity)
 	}
 	s.campaigns = newCampaignManager(s)
 	s.mux = s.routes()
@@ -309,32 +297,23 @@ func (s *Server) enqueue(ts *tenantState, j *job) error {
 
 var errBusy = fmt.Errorf("service: work queue full")
 
-// worker runs the batched dispatch loop: block for a batch of up to
-// batchMax jobs in weighted-fair order and execute it before touching the
-// scheduler again. Under load this amortizes scheduler wakeups across the
-// batch; an idle server executes the solo job straight off the blocking
-// dequeue, so single-request latency is the same as unbatched dispatch.
+// worker executes jobs one per dequeue, in weighted-fair order, until the
+// scheduler is closed and drained.
 func (s *Server) worker() {
 	defer s.workers.Done()
-	buf := make([]*job, 0, batchMax)
 	for {
-		batch := s.sched.DequeueBatch(buf[:0], batchMax)
-		if batch == nil {
-			return // closed and drained
+		j, ok := s.sched.Dequeue()
+		if !ok {
+			return
 		}
-		s.metrics.batches.Add(1)
-		s.metrics.dispatched.Add(int64(len(batch)))
-		for i, j := range batch {
-			s.runJob(j)
-			batch[i] = nil // the job may be pooled again; drop our reference
-		}
-		buf = batch // keep any capacity growth for the next round
+		s.runJob(j)
 	}
 }
 
 // runJob executes one dequeued job and publishes its result.
 func (s *Server) runJob(j *job) {
 	s.metrics.queued.Add(-1)
+	s.metrics.dispatched.Add(1)
 	if j.ts != nil {
 		j.ts.ledger.queueNanos.Add(time.Since(j.enq).Nanoseconds())
 	}

@@ -18,9 +18,8 @@ var ErrTenantFull = errors.New("tenant: tenant queue slots exhausted")
 
 // Scheduler is a weighted deficit-round-robin work queue: items enqueue
 // into per-tenant FIFO queues and dequeue in weight-proportional rotation
-// across the tenants that currently have backlog. With one active tenant
-// it degrades to a plain batched FIFO — the single-tenant fast path costs
-// one mutex acquisition per batch, like the channel it replaces.
+// across the tenants that currently have backlog, one item per dequeue.
+// With one active tenant it degrades to a plain FIFO.
 //
 // Fairness invariant: while tenants A (weight a) and B (weight b) both
 // have backlog, any window of dequeues contains items from both in ratio
@@ -41,7 +40,6 @@ type Scheduler[T any] struct {
 
 // schedQueue is one tenant's FIFO plus its DRR accounting.
 type schedQueue[T any] struct {
-	id      string
 	weight  int
 	slots   int
 	items   fifo.Queue[T]
@@ -77,11 +75,11 @@ func (s *Scheduler[T]) Enqueue(id string, weight, slots int, item T) error {
 	}
 	q := s.queues[id]
 	if q == nil {
-		q = &schedQueue[T]{id: id}
+		q = &schedQueue[T]{}
 		s.queues[id] = q
 	}
 	// Weight and slots ride along on every enqueue so a registry reload
-	// (future work) or differing callers converge on the latest values.
+	// or differing callers converge on the latest values.
 	q.weight, q.slots = weight, slots
 	if slots > 0 && q.items.Len() >= slots {
 		return ErrTenantFull
@@ -96,62 +94,40 @@ func (s *Scheduler[T]) Enqueue(id string, weight, slots int, item T) error {
 	return nil
 }
 
-// DequeueBatch blocks until at least one item is available (or the
-// scheduler is closed and drained), then appends up to max items to buf
-// in DRR order and returns it. A nil return means closed-and-drained —
-// the worker should exit. Passing buf[:0] across calls makes the batch
-// allocation-free.
-func (s *Scheduler[T]) DequeueBatch(buf []T, max int) []T {
-	if max < 1 {
-		max = 1
-	}
+// Dequeue blocks until an item is available and returns the next one in
+// DRR order. ok is false once the scheduler is closed and drained — the
+// worker should exit.
+func (s *Scheduler[T]) Dequeue() (item T, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for s.size == 0 {
 		if s.closed {
-			return nil
+			return item, false
 		}
 		s.cond.Wait()
 	}
-	n := 0
-	for n < max && s.size > 0 {
-		if s.cur >= len(s.active) {
-			s.cur = 0
-		}
-		q := s.active[s.cur]
-		if q.deficit <= 0 {
-			// A fresh visit in this rotation: grant the tenant's quantum.
-			q.deficit = q.weight
-		}
-		take := q.deficit
-		if l := q.items.Len(); take > l {
-			take = l
-		}
-		if r := max - n; take > r {
-			take = r
-		}
-		for i := 0; i < take; i++ {
-			buf = append(buf, q.items.Pop())
-		}
-		n += take
-		s.size -= take
-		q.deficit -= take
-		switch {
-		case q.items.Len() == 0:
-			// Drained: leave the rotation and forfeit leftover deficit,
-			// so an idle tenant cannot bank credit while away.
-			q.deficit = 0
-			q.active = false
-			s.active = append(s.active[:s.cur], s.active[s.cur+1:]...)
-		case q.deficit <= 0:
-			s.cur++
-		default:
-			// Batch filled mid-quantum; the remaining deficit carries to
-			// the next batch so rotation stays weight-exact.
-			return buf
-		}
+	if s.cur >= len(s.active) {
+		s.cur = 0
 	}
-	return buf
+	q := s.active[s.cur]
+	if q.deficit <= 0 {
+		// A fresh visit in this rotation: grant the tenant's quantum.
+		q.deficit = q.weight
+	}
+	item = q.items.Pop()
+	s.size--
+	q.deficit--
+	switch {
+	case q.items.Len() == 0:
+		// Drained: leave the rotation and forfeit leftover deficit, so an
+		// idle tenant cannot bank credit while away.
+		q.deficit = 0
+		q.active = false
+		s.active = append(s.active[:s.cur], s.active[s.cur+1:]...)
+	case q.deficit == 0:
+		s.cur++
+	}
+	return item, true
 }
 
 // Close wakes all blocked dequeuers. Items already queued still drain;

@@ -6,9 +6,18 @@ import (
 	"testing"
 )
 
+// drain dequeues up to max items, stopping early once the scheduler is
+// empty, so it never blocks.
 func drain[T any](s *Scheduler[T], max int) []T {
-	buf := make([]T, 0, max)
-	return s.DequeueBatch(buf, max)
+	var out []T
+	for len(out) < max && s.Len() > 0 {
+		v, ok := s.Dequeue()
+		if !ok {
+			break
+		}
+		out = append(out, v)
+	}
+	return out
 }
 
 func TestSchedulerSingleTenantFIFO(t *testing.T) {
@@ -75,24 +84,26 @@ func TestSchedulerCloseDrains(t *testing.T) {
 	if len(got) != 5 {
 		t.Fatalf("drained %d queued items after close, want 5", len(got))
 	}
-	if got := drain(s, 16); got != nil {
-		t.Fatalf("closed-and-drained dequeue = %v, want nil", got)
+	if v, ok := s.Dequeue(); ok {
+		t.Fatalf("closed-and-drained dequeue = %v, want ok=false", v)
 	}
 }
 
 func TestSchedulerBlocksUntilWork(t *testing.T) {
 	s := NewScheduler[int](8)
-	done := make(chan []int)
-	go func() { done <- drain(s, 4) }()
+	done := make(chan int)
+	go func() {
+		v, _ := s.Dequeue()
+		done <- v
+	}()
 	s.Enqueue("a", 1, 0, 42)
-	got := <-done
-	if len(got) != 1 || got[0] != 42 {
-		t.Fatalf("blocked dequeue = %v, want [42]", got)
+	if got := <-done; got != 42 {
+		t.Fatalf("blocked dequeue = %d, want 42", got)
 	}
 }
 
 // TestSchedulerWeightedFairness is the deterministic fairness demonstration
-// required by ISSUE 9: a bulk tenant saturates the queue while an
+// of the scheduler: a bulk tenant saturates the queue while an
 // interactive tenant trickles in, and the interactive tenant's items must
 // surface within a bounded number of dequeues regardless of the bulk
 // backlog depth. No clocks are involved — DRR order is a pure function of
@@ -110,28 +121,23 @@ func TestSchedulerWeightedFairness(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Drain in batches of 16 (the serve path's batch size) and record how many
-	// items dequeue before the interactive one.
-	pos, seen := 0, false
-	for !seen {
-		batch := drain(s, 16)
-		if batch == nil {
+	// Dequeue one item at a time, as the serve path's workers do, and
+	// record how many items dequeue before the interactive one.
+	pos := 0
+	for {
+		if v, _ := s.Dequeue(); v == "interactive" {
+			break
+		}
+		pos++
+		if s.Len() == 0 {
 			t.Fatal("scheduler drained without yielding the interactive item")
 		}
-		for _, v := range batch {
-			if v == "interactive" {
-				seen = true
-				break
-			}
-			pos++
-		}
 	}
-	// With weights 1:4 the rotation owes bulk at most one quantum (its
-	// weight, 1) before visiting interactive, plus whatever was already
-	// committed in the in-flight batch. Anything beyond one batch's worth
-	// means the backlog leaked into the interactive tenant's latency.
-	if pos > 16 {
-		t.Fatalf("interactive item waited behind %d bulk items; want <= 16 despite a %d-deep bulk backlog", pos, bulkBacklog)
+	// With weights 1:4 the rotation owes bulk exactly one quantum (its
+	// weight, 1) before visiting interactive. Anything more means the
+	// backlog leaked into the interactive tenant's latency.
+	if pos > 1 {
+		t.Fatalf("interactive item waited behind %d bulk items; want <= 1 despite a %d-deep bulk backlog", pos, bulkBacklog)
 	}
 }
 
@@ -148,8 +154,7 @@ func TestSchedulerWeightRatio(t *testing.T) {
 	}
 	counts := map[string]int{}
 	// Sample the first 400 dequeues: both tenants still have backlog
-	// throughout, so the ratio must hold at 3:1 (+/- one quantum per batch
-	// boundary).
+	// throughout, so the ratio must hold at 3:1 (+/- one quantum).
 	for sampled := 0; sampled < 400; {
 		for _, v := range drain(s, 16) {
 			if sampled < 400 {
@@ -233,14 +238,12 @@ func TestSchedulerConcurrentProducersConsumers(t *testing.T) {
 		go func() {
 			defer consumed.Done()
 			n := 0
-			buf := make([]int, 0, 16)
 			for {
-				batch := s.DequeueBatch(buf[:0], 16)
-				if batch == nil {
+				if _, ok := s.Dequeue(); !ok {
 					total <- n
 					return
 				}
-				n += len(batch)
+				n++
 			}
 		}()
 	}
@@ -275,7 +278,7 @@ func TestSchedulerHeadCompaction(t *testing.T) {
 		}
 	}
 	// Drain the remainder and confirm nothing was lost or reordered.
-	want := 10*300 - 10*208 // each round drained 208 (13 batches of 16)
+	want := 10*300 - 10*208 // each round drained 208 (13 calls of drain(s, 16))
 	left := 0
 	for s.Len() > 0 {
 		left += len(drain(s, 16))

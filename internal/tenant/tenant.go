@@ -19,8 +19,7 @@
 // Fairness is a weighted deficit-round-robin Scheduler over per-tenant
 // queues: each tenant drains in proportion to its configured weight, so
 // one tenant's bulk backlog cannot starve another's interactive traffic.
-// When a single tenant is active the scheduler degrades to the plain
-// batched FIFO drain the serve-path fast lane relies on.
+// When a single tenant is active the scheduler degrades to a plain FIFO.
 //
 // The package also carries the fleet's transport identity: mTLS config
 // builders and a small certificate generator (see tlsutil.go) used by
