@@ -64,47 +64,100 @@ func RandomRegular(n, d int, rng *rand.Rand) (*graph.Graph, error) {
 	// The pairing model succeeds with probability ~exp(-(d²-1)/4), so the
 	// attempt budget must grow with d²; 50000 covers d <= 7 comfortably.
 	const maxAttempts = 50000
+	p := newPairing(n, d)
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		g, ok := tryPairing(n, d, rng)
-		if ok && g.Connected() {
-			return ShufflePorts(g, rng)
+		if p.try(rng) && p.connected() {
+			return p.graph(rng)
 		}
 	}
 	return nil, fmt.Errorf("graphgen: failed to sample a connected %d-regular graph on %d nodes", d, n)
 }
 
-// tryPairing runs one round of the configuration model: stubs are paired
-// uniformly; the attempt fails on self-loops or parallel edges.
-func tryPairing(n, d int, rng *rand.Rand) (*graph.Graph, bool) {
-	stubs := make([]int, 0, n*d)
-	for v := 0; v < n; v++ {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, v)
-		}
+// pairing holds the configuration model's buffers, allocated once per
+// RandomRegular call and refilled by every attempt.
+type pairing struct {
+	n, d  int
+	canon []int32 // stubs before shuffling: node v repeated d times, in node order
+	stubs []int32 // node of each stub; after try, consecutive pairs are edges
+	deg   []int32 // neighbors placed so far per node
+	nbr   []int32 // node v's neighbors are nbr[v*d : v*d+deg[v]]
+	queue []int32 // BFS queue for connected
+	seen  []bool
+}
+
+func newPairing(n, d int) *pairing {
+	canon := make([]int32, n*d)
+	for i := range canon {
+		canon[i] = int32(i / d)
 	}
+	return &pairing{
+		n:     n,
+		d:     d,
+		canon: canon,
+		stubs: make([]int32, n*d),
+		deg:   make([]int32, n),
+		nbr:   make([]int32, n*d),
+		queue: make([]int32, 0, n),
+		seen:  make([]bool, n),
+	}
+}
+
+// try runs one round of the configuration model: stubs are paired
+// uniformly; the attempt fails on self-loops or parallel edges, found by
+// scanning the at most d neighbors placed so far.
+func (p *pairing) try(rng *rand.Rand) bool {
+	stubs := p.stubs
+	copy(stubs, p.canon)
 	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	type pair struct{ u, v int }
-	seen := make(map[pair]bool, n*d/2)
-	b := graph.NewBuilder(n)
+	clear(p.deg)
 	for i := 0; i < len(stubs); i += 2 {
 		u, v := stubs[i], stubs[i+1]
 		if u == v {
-			return nil, false
+			return false
 		}
-		if u > v {
-			u, v = v, u
+		base := int(u) * p.d
+		for _, w := range p.nbr[base : base+int(p.deg[u])] {
+			if w == v {
+				return false
+			}
 		}
-		if seen[pair{u, v}] {
-			return nil, false
+		p.nbr[base+int(p.deg[u])] = v
+		p.deg[u]++
+		p.nbr[int(v)*p.d+int(p.deg[v])] = u
+		p.deg[v]++
+	}
+	return true
+}
+
+// connected reports whether the last successful pairing is connected.
+func (p *pairing) connected() bool {
+	clear(p.seen)
+	p.seen[0] = true
+	q := append(p.queue[:0], 0)
+	for head := 0; head < len(q); head++ {
+		u := int(q[head])
+		for _, w := range p.nbr[u*p.d : (u+1)*p.d] {
+			if !p.seen[w] {
+				p.seen[w] = true
+				q = append(q, w)
+			}
 		}
-		seen[pair{u, v}] = true
-		b.AddEdgeAuto(graph.NodeID(u), graph.NodeID(v))
+	}
+	return len(q) == p.n
+}
+
+// graph builds the accepted pairing, ports in pairing order, and shuffles
+// its ports.
+func (p *pairing) graph(rng *rand.Rand) (*graph.Graph, error) {
+	b := graph.NewBuilder(p.n)
+	for i := 0; i < len(p.stubs); i += 2 {
+		b.AddEdgeAuto(graph.NodeID(p.stubs[i]), graph.NodeID(p.stubs[i+1]))
 	}
 	g, err := b.Graph()
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	return g, true
+	return ShufflePorts(g, rng)
 }
 
 // ShuffleLabels returns a copy of g whose node labels are a uniformly

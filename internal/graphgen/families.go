@@ -101,6 +101,9 @@ func Families() []Family {
 		{
 			Name: "random-regular",
 			Generate: func(n int, rng *rand.Rand) (*graph.Graph, error) {
+				// Degree 4 where n allows it, else the largest degree n
+				// allows, but at least 2: below that no regular graph on
+				// the 6-node minimum is connected.
 				d := 4
 				if n*d%2 != 0 {
 					n++
@@ -111,7 +114,7 @@ func Families() []Family {
 						d--
 					}
 				}
-				return RandomRegular(maxInt(n, 6), d, rng)
+				return RandomRegular(maxInt(n, 6), maxInt(d, 2), rng)
 			},
 		},
 		{
