@@ -11,9 +11,9 @@ import (
 // TestSchemeBSteadyStateAllocBudget pins the zero-allocation hot path: a
 // warm reused engine running scheme B allocates only the per-run Result
 // bookkeeping plus the algorithm's three batched backing arrays — a
-// constant independent of n. BENCH_sim.json records 8 allocs/op at
-// n=1024; the budget below leaves headroom for map/runtime noise while
-// still failing loudly on any per-node or per-message regression.
+// constant independent of n (8 here). The budget of 24 leaves headroom for
+// map/runtime noise while still failing loudly on any per-node or
+// per-message regression, which would cost hundreds at n = 256.
 func TestSchemeBSteadyStateAllocBudget(t *testing.T) {
 	g, err := graphgen.RandomConnected(256, 1024, rand.New(rand.NewSource(1)))
 	if err != nil {

@@ -83,6 +83,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: sizes must be >= 2, got %d", n)
 		}
 	}
+	// Resume and merge identify units by key, so a grid axis listed twice
+	// would compile into units that collide.
+	var pairs []string
 	for _, ts := range s.Tasks {
 		td, err := taskByName(ts.Task)
 		if err != nil {
@@ -93,13 +96,45 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("campaign: %w", err)
 			}
 		}
+		schemes := ts.Schemes
+		if len(schemes) == 0 {
+			schemes = td.SchemeNames()
+		}
+		for _, sc := range schemes {
+			pairs = append(pairs, ts.Task+"/"+sc)
+		}
 	}
 	for _, id := range s.Experiments {
 		if _, err := experiments.ByID(id); err != nil {
 			return fmt.Errorf("campaign: %w", err)
 		}
 	}
+	if f, ok := duplicate(s.Families); ok {
+		return fmt.Errorf("campaign: family %s listed twice", f)
+	}
+	if n, ok := duplicate(s.Sizes); ok {
+		return fmt.Errorf("campaign: size %d listed twice", n)
+	}
+	if p, ok := duplicate(pairs); ok {
+		return fmt.Errorf("campaign: task/scheme %s listed twice", p)
+	}
+	if id, ok := duplicate(s.Experiments); ok {
+		return fmt.Errorf("campaign: experiment %s listed twice", id)
+	}
 	return nil
+}
+
+// duplicate returns the first value that occurs twice in vs.
+func duplicate[T comparable](vs []T) (T, bool) {
+	seen := make(map[T]bool, len(vs))
+	for _, v := range vs {
+		if seen[v] {
+			return v, true
+		}
+		seen[v] = true
+	}
+	var zero T
+	return zero, false
 }
 
 // Hash fingerprints the spec: records carry it so a results file can be

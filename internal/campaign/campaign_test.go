@@ -43,6 +43,13 @@ func TestValidateRejections(t *testing.T) {
 		{"empty spec", func(s *Spec) { s.Tasks = nil }, "no tasks and no experiments"},
 		{"tasks without families", func(s *Spec) { s.Families = nil }, "at least one family"},
 		{"tasks without sizes", func(s *Spec) { s.Sizes = nil }, "at least one size"},
+		// A repeated axis value compiles into units with colliding keys.
+		{"family twice", func(s *Spec) { s.Families = append(s.Families, "path") }, "family path listed twice"},
+		{"size twice", func(s *Spec) { s.Sizes = append(s.Sizes, 16) }, "size 16 listed twice"},
+		{"scheme twice", func(s *Spec) { s.Tasks[0].Schemes = []string{"tree", "tree"} }, "wakeup/tree listed twice"},
+		{"task overlaps defaults", func(s *Spec) { s.Tasks = append(s.Tasks, TaskSpec{Task: "broadcast"}) },
+			"broadcast/light-tree listed twice"},
+		{"experiment twice", func(s *Spec) { s.Experiments = []string{"E1", "E1"} }, "experiment E1 listed twice"},
 	}
 	for _, tc := range cases {
 		s := QuickSpec()

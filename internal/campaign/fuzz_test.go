@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"testing"
 )
 
@@ -126,6 +127,56 @@ func FuzzShardSeq(f *testing.F) {
 			if shards[i] != again[i] {
 				t.Fatalf("partition not deterministic at shard %d: %v vs %v", i, shards[i], again[i])
 			}
+		}
+	})
+}
+
+// FuzzParseSpec feeds arbitrary bytes to the spec decoder that POST
+// /v1/campaign and -spec expose. Every input must either be refused with
+// an error or yield a spec that validates, whose unit count does not
+// overflow, and whose units — when few enough to compile — match that
+// count and carry distinct keys (resume and merge identify units by key).
+func FuzzParseSpec(f *testing.F) {
+	quick, err := json.Marshal(QuickSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(quick)
+	f.Add([]byte(`{"name":"ci","seed":3,"trials":1,"families":["random-sparse"],"sizes":[32],"tasks":[{"task":"wakeup"}]}`))
+	f.Add([]byte(`{"trials":1,"experiments":["E1"],"quick":true}`))
+	f.Add([]byte(`{"trials":9007199254740993,"families":["path"],"sizes":[2],"tasks":[{"task":"broadcast"}]}`))
+	f.Add([]byte(`{"trials":2,"families":["path","path"],"sizes":[16],"tasks":[{"task":"wakeup","schemes":["tree"]}]}`))
+	f.Add([]byte(`{"trials":1,"families":["grid"],"sizes":[4],"tasks":[{"task":"wakeup"},{"task":"wakeup","schemes":["tree"]}]}`))
+	f.Add([]byte(`{"trials":0}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := ParseSpec(data)
+		if err != nil {
+			if s != nil {
+				t.Fatalf("ParseSpec returned a spec with error %v", err)
+			}
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("parsed spec fails Validate: %v", err)
+		}
+		count := s.UnitCount()
+		if count < 1 {
+			t.Fatalf("UnitCount = %d for a valid spec", count)
+		}
+		if count > maxFuzzUnits {
+			return
+		}
+		units := s.Units()
+		if int64(len(units)) != count {
+			t.Fatalf("Units compiled %d units, UnitCount says %d", len(units), count)
+		}
+		seen := make(map[string]int, len(units))
+		for i, u := range units {
+			if j, dup := seen[u.Key()]; dup {
+				t.Fatalf("units %d and %d share key %s", j, i, u.Key())
+			}
+			seen[u.Key()] = i
 		}
 	})
 }

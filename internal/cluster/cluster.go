@@ -235,7 +235,7 @@ type Coordinator struct {
 // and tear down per-worker slot loops mid-run. Guarded by Coordinator.mu.
 type activeRun struct {
 	core *Core
-	spec *campaign.Spec
+	job  *shardJob
 	ctx  context.Context
 	wg   sync.WaitGroup
 	// cancels aborts a worker's in-flight dispatches on eviction, keyed by
@@ -324,9 +324,11 @@ func (c *Coordinator) Run(ctx context.Context, spec *campaign.Spec, sink campaig
 		return Stats{}, err
 	}
 	units := spec.Units()
+	job := &shardJob{spec: spec, hash: spec.Hash(), keys: make([]string, len(units))}
 	doneIdx := make([]bool, len(units))
 	for i, u := range units {
-		if done[u.Key()] {
+		job.keys[i] = u.Key()
+		if done[job.keys[i]] {
 			doneIdx[i] = true
 			if err := sink.Deposit(i, nil); err != nil {
 				return Stats{}, err
@@ -341,11 +343,11 @@ func (c *Coordinator) Run(ctx context.Context, spec *campaign.Spec, sink campaig
 		sizing = fmt.Sprintf("fixed %d units/shard", c.cfg.ShardSize)
 	}
 	c.cfg.Logf("cluster: %s %s: %d units (%d to run, %d resumed) across %d workers, %s sizing",
-		spec.Name, spec.Hash(), len(units), st.unitsLeft, st.skipped, c.fleet.liveCount(), sizing)
+		spec.Name, job.hash, len(units), st.unitsLeft, st.skipped, c.fleet.liveCount(), sizing)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	ar := &activeRun{core: core, spec: spec, ctx: runCtx, cancels: make(map[int]context.CancelFunc)}
+	ar := &activeRun{core: core, job: job, ctx: runCtx, cancels: make(map[int]context.CancelFunc)}
 	c.mu.Lock()
 	c.cur = ar
 	for i := 0; i < c.fleet.size(); i++ {
@@ -389,7 +391,7 @@ func (c *Coordinator) spawnSlotsLocked(ar *activeRun, i int) {
 		ar.wg.Add(1)
 		go func() {
 			defer ar.wg.Done()
-			c.slotLoop(wctx, ar.core, i, ar.spec)
+			c.slotLoop(wctx, ar.core, i, ar.job)
 		}()
 	}
 }
@@ -486,7 +488,7 @@ func (c *Coordinator) RunSignals() (backlog int, meanUnitSeconds float64, active
 // candidates), dispatches it over HTTP under the lease deadline, and
 // reports the outcome back. The loop exits when the run finishes, fails,
 // the worker is evicted, or the context is cancelled.
-func (c *Coordinator) slotLoop(ctx context.Context, core *Core, i int, spec *campaign.Spec) {
+func (c *Coordinator) slotLoop(ctx context.Context, core *Core, i int, job *shardJob) {
 	st, w := core.st, core.fleet.get(i)
 	for {
 		if core.Finished() || ctx.Err() != nil || w.isGone() {
@@ -507,7 +509,7 @@ func (c *Coordinator) slotLoop(ctx context.Context, core *Core, i int, spec *cam
 		}
 		dispatchCtx, cancel := context.WithTimeout(ctx, c.cfg.LeaseTimeout)
 		start := c.cfg.Clock.Now()
-		batches, err := w.dispatch(dispatchCtx, spec, l.Shard)
+		batches, err := w.dispatch(dispatchCtx, job, l.Shard)
 		cancel()
 		elapsed := c.cfg.Clock.Now().Sub(start)
 		if err != nil {

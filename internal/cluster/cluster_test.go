@@ -665,3 +665,94 @@ func TestNewRejectsBadFleets(t *testing.T) {
 		t.Fatal("New accepted duplicate worker URLs")
 	}
 }
+
+// TestRefusesBadShardResponses runs the quick campaign on a worker whose
+// first /v1/shard response is corrupted, once per way a response can be
+// wrong: a record filed under another unit's key, a record that fails
+// Record.Validate, and a body past the decode cap. The coordinator must
+// refuse each as a failed dispatch, retry the shard and still merge an
+// artifact byte-identical to the local run.
+func TestRefusesBadShardResponses(t *testing.T) {
+	spec := campaign.QuickSpec()
+	want := localRun(t, spec, nil)
+
+	// recode rewrites an honest shard response through corrupt.
+	recode := func(corrupt func(*shardResponse)) func(http.ResponseWriter, *httptest.ResponseRecorder) {
+		return func(w http.ResponseWriter, rec *httptest.ResponseRecorder) {
+			var sr shardResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
+				t.Errorf("decoding the honest response: %v", err)
+			}
+			corrupt(&sr)
+			json.NewEncoder(w).Encode(sr)
+		}
+	}
+	cases := []struct {
+		name    string
+		respond func(http.ResponseWriter, *httptest.ResponseRecorder)
+		reason  string
+	}{
+		{"wrong-unit-key", recode(func(sr *shardResponse) {
+			sr.Units[0][0].Unit = sr.Units[1][0].Unit
+		}), "at the index of"},
+		{"invalid-record", recode(func(sr *shardResponse) {
+			sr.Units[0][0].Nodes = 0
+		}), "want >= 2"},
+		{"oversized-body", func(w http.ResponseWriter, _ *httptest.ResponseRecorder) {
+			io.WriteString(w, `{"spec_hash":"`)
+			w.Write(bytes.Repeat([]byte("a"), maxShardResponseBytes))
+			io.WriteString(w, `"}`)
+		}, "unexpected EOF"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var shards atomic.Int64
+			ts := newWorkerServer(t, func(next http.Handler) http.Handler {
+				return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if r.URL.Path != "/v1/shard" || shards.Add(1) > 1 {
+						next.ServeHTTP(w, r)
+						return
+					}
+					rec := httptest.NewRecorder()
+					next.ServeHTTP(rec, r)
+					tc.respond(w, rec)
+				})
+			})
+			var logMu sync.Mutex
+			var logs []string
+			cfg := fastConfig(ts.URL)
+			cfg.BreakerThreshold = 5 // one refusal must not open the breaker
+			cfg.Logf = func(format string, args ...any) {
+				logMu.Lock()
+				defer logMu.Unlock()
+				logs = append(logs, fmt.Sprintf(format, args...))
+			}
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			stats, err := c.Run(context.Background(), spec, campaign.NewSink(&buf), nil)
+			if err != nil {
+				t.Fatalf("run after a bad response: %v", err)
+			}
+			if stats.Retries != 1 {
+				t.Errorf("stats.Retries = %d, want 1", stats.Retries)
+			}
+			if stripWall(buf.Bytes()) != stripWall(want.Bytes()) {
+				t.Fatalf("artifact differs from the local run\ngot:\n%s\nwant:\n%s", buf.String(), want.String())
+			}
+			logMu.Lock()
+			defer logMu.Unlock()
+			refused := false
+			for _, line := range logs {
+				if strings.Contains(line, "failed on") && strings.Contains(line, tc.reason) {
+					refused = true
+				}
+			}
+			if !refused {
+				t.Errorf("no dispatch failure mentioning %q in:\n%s", tc.reason, strings.Join(logs, "\n"))
+			}
+		})
+	}
+}

@@ -29,6 +29,26 @@ type shardResponse struct {
 	Units    [][]campaign.Record `json:"units"`
 }
 
+// maxShardResponseBytes caps the /v1/shard body the coordinator decodes,
+// so a broken or hostile worker cannot make it buffer without bound. The
+// largest legitimate body is a shard at oracled's default 1024-unit cap
+// (twice MaxShardSize's default) holding every registered experiment,
+// which a valid spec lists at most once: measured with go1.24, the 23
+// non-quick replays encode to 261 KB (27 KB for the largest), and the
+// rest of the shard is task records of at most 356 bytes at n = 256
+// (about 400 at n = 4096), so under 0.7 MB in all. 8 MiB leaves more
+// than tenfold headroom.
+const maxShardResponseBytes = 8 << 20
+
+// shardJob is one run's dispatch context: the spec, its hash and every
+// unit's key in index order, computed once per run so each response can
+// be checked against them.
+type shardJob struct {
+	spec *campaign.Spec
+	hash string
+	keys []string
+}
+
 // workerBuild is the slice of the /healthz payload the coordinator logs.
 type workerBuild struct {
 	GoVersion     string `json:"go_version"`
@@ -278,11 +298,12 @@ func (w *worker) getJSON(ctx context.Context, url string, dst any) error {
 	return json.NewDecoder(resp.Body).Decode(dst)
 }
 
-// dispatch POSTs one shard and returns its per-unit record batches. All
-// failures come back as *DispatchError so the retry path can read the
-// status and Retry-After hint.
-func (w *worker) dispatch(ctx context.Context, spec *campaign.Spec, sh campaign.Shard) ([][]campaign.Record, error) {
-	body, err := json.Marshal(shardRequest{Spec: spec, Start: sh.Start, End: sh.End})
+// dispatch POSTs one shard and returns its per-unit record batches once
+// every record names its unit, carries the run's spec hash and passes
+// Record.Validate. All failures come back as *DispatchError so the retry
+// and breaker path handles a bad worker like an unreachable one.
+func (w *worker) dispatch(ctx context.Context, job *shardJob, sh campaign.Shard) ([][]campaign.Record, error) {
+	body, err := json.Marshal(shardRequest{Spec: job.spec, Start: sh.Start, End: sh.End})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encoding %v: %w", sh, err)
 	}
@@ -312,16 +333,29 @@ func (w *worker) dispatch(ctx context.Context, spec *campaign.Spec, sh campaign.
 		}
 	}
 	var sr shardResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, &DispatchError{Err: fmt.Errorf("cluster: decoding %v from %s: %w", sh, w.url, err)}
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShardResponseBytes)).Decode(&sr); err != nil {
+		return nil, &DispatchError{Err: fmt.Errorf("cluster: decoding %v from %s (cap %d bytes): %w",
+			sh, w.url, maxShardResponseBytes, err)}
 	}
 	if len(sr.Units) != sh.Len() {
 		return nil, &DispatchError{Err: fmt.Errorf("cluster: %v on %s: %d unit batches, want %d",
 			sh, w.url, len(sr.Units), sh.Len())}
 	}
-	if want := spec.Hash(); sr.SpecHash != want {
+	if sr.SpecHash != job.hash {
 		return nil, &DispatchError{Err: fmt.Errorf("cluster: %v on %s: spec hash %s, want %s",
-			sh, w.url, sr.SpecHash, want)}
+			sh, w.url, sr.SpecHash, job.hash)}
+	}
+	for i, batch := range sr.Units {
+		key := job.keys[sh.Start+i]
+		for _, rec := range batch {
+			if rec.Unit != key || rec.SpecHash != job.hash {
+				return nil, &DispatchError{Err: fmt.Errorf("cluster: %v on %s: record for unit %s (spec %s) at the index of %s",
+					sh, w.url, rec.Unit, rec.SpecHash, key)}
+			}
+			if err := rec.Validate(); err != nil {
+				return nil, &DispatchError{Err: fmt.Errorf("cluster: %v on %s: %w", sh, w.url, err)}
+			}
+		}
 	}
 	return sr.Units, nil
 }

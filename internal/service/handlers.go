@@ -158,7 +158,10 @@ func (c *countingBody) Read(p []byte) (int, error) {
 // retrySeconds rounds a backoff hint up to whole seconds, minimum 1 — the
 // Retry-After header granularity.
 func retrySeconds(d time.Duration) int64 {
-	secs := int64((d + time.Second - 1) / time.Second)
+	secs := int64(d / time.Second)
+	if d%time.Second > 0 {
+		secs++
+	}
 	if secs < 1 {
 		secs = 1
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -152,6 +153,11 @@ func TestValidationErrors(t *testing.T) {
 // defining backpressure behavior: excess load is answered immediately with
 // 503 and a Retry-After hint, never queued without bound.
 func TestOverloadShedsWith503(t *testing.T) {
+	t.Run("one-excess", testOverloadOneExcess)
+	t.Run("flood", testOverloadFlood)
+}
+
+func testOverloadOneExcess(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, QueueDepth: 1, RetryAfter: 2 * time.Second,
 	})
@@ -192,6 +198,96 @@ func TestOverloadShedsWith503(t *testing.T) {
 	}
 	if shed := s.metrics.shed.Load(); shed != 1 {
 		t.Errorf("shed counter = %d, want 1", shed)
+	}
+}
+
+// testOverloadFlood is the open-loop overload case: with the lone worker
+// parked and the queue full, a burst of excess requests arriving at once
+// must each be shed with 503 and Retry-After — none queued, none lost —
+// while every admitted request still completes and the server serves
+// normally once the backlog clears. The response cache is off so every
+// request goes through admission.
+func testOverloadFlood(t *testing.T) {
+	const depth, excess = 4, 64
+	s := newTestServer(t, Config{
+		Workers: 1, QueueDepth: depth, RetryAfter: 2 * time.Second, ResponseCacheCapacity: -1,
+	})
+	entered := make(chan struct{}, depth+2)
+	gate := make(chan struct{})
+	var release sync.Once
+	releaseGate := func() { release.Do(func() { close(gate) }) }
+	s.testHook = func() {
+		entered <- struct{}{}
+		<-gate
+	}
+	defer releaseGate()
+
+	body := map[string]any{"family": "random-sparse", "n": 16, "seed": 1, "task": "wakeup"}
+	admitted := make(chan *httptest.ResponseRecorder, depth+1)
+	go func() { admitted <- postJSON(t, s.Handler(), "/v1/run", body) }()
+	<-entered
+	for i := 0; i < depth; i++ {
+		go func() { admitted <- postJSON(t, s.Handler(), "/v1/run", body) }()
+	}
+	waitFor(t, "queue to fill", func() bool { return s.metrics.queued.Load() == depth })
+
+	start := make(chan struct{})
+	shed := make([]*httptest.ResponseRecorder, excess)
+	var wg sync.WaitGroup
+	for i := range shed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			shed[i] = postJSON(t, s.Handler(), "/v1/run", body)
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i, w := range shed {
+		if w.Code != http.StatusServiceUnavailable {
+			t.Fatalf("excess request %d: status %d, want 503: %s", i, w.Code, w.Body.String())
+		}
+		if got := w.Header().Get("Retry-After"); got != "2" {
+			t.Fatalf("excess request %d: Retry-After = %q, want %q", i, got, "2")
+		}
+	}
+	if n := s.metrics.shed.Load(); n != excess {
+		t.Errorf("shed counter = %d, want %d", n, excess)
+	}
+	if n := s.metrics.queued.Load(); n != depth {
+		t.Errorf("queued = %d after the flood, want %d", n, depth)
+	}
+
+	releaseGate()
+	for i := 0; i < depth+1; i++ {
+		if w := <-admitted; w.Code != http.StatusOK {
+			t.Errorf("admitted request %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	if w := postJSON(t, s.Handler(), "/v1/run", body); w.Code != http.StatusOK {
+		t.Errorf("request after the flood: status %d: %s", w.Code, w.Body.String())
+	}
+	if n := s.metrics.shed.Load(); n != excess {
+		t.Errorf("shed counter = %d after release, want %d", n, excess)
+	}
+}
+
+// TestRetrySeconds pins the Retry-After rounding: up to whole seconds,
+// at least 1, and no wrap for a hint near the longest Duration (a
+// glacial tenant rate produces one).
+func TestRetrySeconds(t *testing.T) {
+	for _, c := range []struct {
+		d    time.Duration
+		want int64
+	}{
+		{0, 1}, {-time.Second, 1}, {time.Millisecond, 1}, {time.Second, 1},
+		{time.Second + 1, 2}, {2 * time.Second, 2},
+		{math.MaxInt64, math.MaxInt64/int64(time.Second) + 1},
+	} {
+		if got := retrySeconds(c.d); got != c.want {
+			t.Errorf("retrySeconds(%v) = %d, want %d", c.d, got, c.want)
+		}
 	}
 }
 

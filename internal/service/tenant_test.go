@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -101,6 +102,11 @@ func TestAnonymousModeUnchanged(t *testing.T) {
 // a fake clock and checks the 429 + Retry-After contract, and that the
 // other tenant is untouched.
 func TestTenantRateLimit429(t *testing.T) {
+	t.Run("sequential", testTenantRateLimitSequential)
+	t.Run("concurrent", testTenantRateLimitConcurrent)
+}
+
+func testTenantRateLimitSequential(t *testing.T) {
 	reg := testRegistry(t)
 	now := time.Unix(5000, 0)
 	reg.SetClock(func() time.Time { return now })
@@ -138,6 +144,74 @@ func TestTenantRateLimit429(t *testing.T) {
 	}
 	if n := s.metrics.shed.Load(); n != 0 {
 		t.Errorf("shed counter = %d, want 0 — throttling must not count as shedding", n)
+	}
+}
+
+// testTenantRateLimitConcurrent is the two-tenant isolation scenario: a
+// rate-capped bulk tenant floods from several goroutines past its burst
+// while the interactive tenant posts at the same time. With the clock
+// frozen no token refills, so bulk gets exactly its burst of 200s and 429
+// with Retry-After for the rest; interactive gets only 200s, and the
+// throttle is reported under bulk's label alone. The response cache is off
+// so every admitted request is queued and executed.
+func testTenantRateLimitConcurrent(t *testing.T) {
+	const burst, bulkClients, interactiveClients, perClient = 5, 4, 2, 8
+	reg := testRegistry(t,
+		tenant.Spec{Name: "interactive", Key: "interactive-key", Weight: 8},
+		tenant.Spec{Name: "bulk", Key: "bulk-key-0000", Weight: 1, RatePerSec: 1, Burst: burst},
+	)
+	frozen := time.Unix(5000, 0)
+	reg.SetClock(func() time.Time { return frozen })
+	s := newTestServer(t, Config{Tenants: reg, ResponseCacheCapacity: -1})
+
+	codes := map[string]map[int]int{"bulk-key-0000": {}, "interactive-key": {}}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	client := func(key string) {
+		defer wg.Done()
+		<-start
+		for i := 0; i < perClient; i++ {
+			w := postJSONKey(t, s.Handler(), "/v1/run", key, tenantRunBody)
+			if w.Code == http.StatusTooManyRequests && w.Header().Get("Retry-After") == "" {
+				t.Errorf("%s: 429 carried no Retry-After header", key)
+			}
+			mu.Lock()
+			codes[key][w.Code]++
+			mu.Unlock()
+		}
+	}
+	for i := 0; i < bulkClients; i++ {
+		wg.Add(1)
+		go client("bulk-key-0000")
+	}
+	for i := 0; i < interactiveClients; i++ {
+		wg.Add(1)
+		go client("interactive-key")
+	}
+	close(start)
+	wg.Wait()
+
+	bulkTotal := bulkClients * perClient
+	if got, want := codes["bulk-key-0000"], map[int]int{200: burst, 429: bulkTotal - burst}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bulk status counts = %v, want %v", got, want)
+	}
+	if got, want := codes["interactive-key"], map[int]int{200: interactiveClients * perClient}; !reflect.DeepEqual(got, want) {
+		t.Errorf("interactive status counts = %v, want %v", got, want)
+	}
+	if n := s.metrics.shed.Load(); n != 0 {
+		t.Errorf("shed counter = %d, want 0", n)
+	}
+
+	metrics := getPath(t, s.Handler(), "/metrics").Body.String()
+	want := fmt.Sprintf("oracled_tenant_throttled_total{tenant=\"bulk\"} %d\n", bulkTotal-burst)
+	if !strings.Contains(metrics, want) {
+		t.Errorf("metrics lack %q", want)
+	}
+	for _, line := range strings.Split(metrics, "\n") {
+		if strings.HasPrefix(line, "oracled_tenant_throttled_total{") && !strings.HasPrefix(line, want[:len(want)-1]) {
+			t.Errorf("throttle reported outside bulk's label: %q", line)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -34,5 +35,11 @@ func (b *bucket) take(rate, burst float64, now time.Time) (ok bool, retryAfter t
 		return true, 0
 	}
 	deficit := 1 - b.tokens
-	return false, time.Duration(deficit / rate * float64(time.Second))
+	wait := deficit / rate * float64(time.Second)
+	if wait >= math.MaxInt64 {
+		// A tiny rate can put the next token past the longest Duration;
+		// the conversion would wrap negative.
+		return false, math.MaxInt64
+	}
+	return false, time.Duration(wait)
 }

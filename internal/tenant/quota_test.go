@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"math"
 	"testing"
 	"time"
 )
@@ -24,6 +25,19 @@ func TestBucketRefillIsContinuous(t *testing.T) {
 	now = now.Add(250 * time.Millisecond)
 	if ok, _ := b.take(2, 1, now); !ok {
 		t.Fatal("full token refused")
+	}
+}
+
+func TestBucketGlacialRateWaitStaysPositive(t *testing.T) {
+	var b bucket
+	b.tokens = 1
+	now := time.Unix(0, 0)
+	if ok, _ := b.take(1e-12, 1, now); !ok {
+		t.Fatal("seeded token refused")
+	}
+	// 1e12 s to the next token overflows a Duration; the hint saturates.
+	if ok, retry := b.take(1e-12, 1, now); ok || retry != math.MaxInt64 {
+		t.Fatalf("take = %v, %v; want refusal with the longest Duration", ok, retry)
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"crypto/subtle"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"time"
 )
@@ -152,6 +153,11 @@ func normalizeSpec(sp Spec) (Spec, error) {
 		// rate, matching the common token-bucket convention.
 		sp.Burst = sp.RatePerSec
 	}
+	if sp.RatePerSec > 0 && sp.Burst < 1 {
+		// An admission costs a whole token, so a bucket capped below one
+		// would refuse every request forever.
+		sp.Burst = 1
+	}
 	return sp, nil
 }
 
@@ -198,7 +204,7 @@ func NewRegistry(specs []Spec) (*Registry, error) {
 //	              "rate_per_sec": 100, "burst": 200, ...}]}
 //
 // Unknown fields are rejected so a typoed limit cannot silently grant
-// "unlimited".
+// "unlimited", and so is anything after the document.
 func LoadKeyfile(path string) (*Registry, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -209,6 +215,11 @@ func LoadKeyfile(path string) (*Registry, error) {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&kf); err != nil {
 		return nil, fmt.Errorf("tenant: parsing keyfile %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		// A second document or trailing bytes mean the file is not the
+		// keyfile its author wrote (say, two files concatenated).
+		return nil, fmt.Errorf("tenant: parsing keyfile %s: data after the tenant document", path)
 	}
 	r, err := NewRegistry(kf.Tenants)
 	if err != nil {

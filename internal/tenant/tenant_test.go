@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,6 +76,23 @@ func TestRegistryDefaults(t *testing.T) {
 	}
 	if got.Spec.Key != "" {
 		t.Fatal("raw key retained on tenant")
+	}
+	// An admission spends a whole token, so a slow rate's default burst
+	// and an explicit fractional burst are both raised to one.
+	r, err = NewRegistry([]Spec{
+		{Name: "slow", Key: "slow-secret", RatePerSec: 0.5},
+		{Name: "frac", Key: "frac-secret", RatePerSec: 5, Burst: 0.25},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range r.Tenants() {
+		if tn.Spec.Burst != 1 {
+			t.Errorf("%s: burst = %v, want 1", tn.Spec.Name, tn.Spec.Burst)
+		}
+		if ok, _ := r.Allow(tn); !ok {
+			t.Errorf("%s: first request refused", tn.Spec.Name)
+		}
 	}
 }
 
@@ -278,4 +296,77 @@ func TestAllowUnlimited(t *testing.T) {
 			t.Fatal("unlimited tenant throttled")
 		}
 	}
+}
+
+// FuzzLoadKeyfile writes arbitrary bytes as a keyfile. Loading must never
+// panic, and must either fail or yield a registry within the tenant cap
+// whose every tenant is usable: a valid unique name, no retained raw key,
+// a positive weight, and — for a rated tenant — a first request that is
+// admitted and, once the burst is spent, a refusal with a positive
+// Retry-After.
+func FuzzLoadKeyfile(f *testing.F) {
+	f.Add([]byte(`{"tenants": [
+		{"name": "research", "key": "research-key-1", "weight": 4, "rate_per_sec": 100, "labels": {"team": "theory"}},
+		{"name": "ci", "key": "ci-key-00000", "max_queue_slots": 8}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "capped", "key": "capped-ci-key-01", "weight": 1, "rate_per_sec": 0.01, "burst": 2}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "slow", "key": "slow-key-0000", "rate_per_sec": 0.5}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "long-enough", "rate_per_second": 5}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "key-aaaaaaaa"}, {"name": "a", "key": "key-bbbbbbbb"}]}`))
+	f.Add([]byte(`{"tenants": [{"name": "glacial", "key": "glacial-key-1", "rate_per_sec": 1e-12}]}`))
+	f.Add([]byte(`{"tenants": []}`))
+	f.Add([]byte(`{"tenants": [{"name": "a", "key": "key-aaaaaaaa"}]}{"tenants": []}`))
+	f.Add([]byte(`[{"name": "a", "key": "key-aaaaaaaa"}]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		path := filepath.Join(t.TempDir(), "keys.json")
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		r, err := LoadKeyfile(path)
+		if err != nil {
+			if r != nil {
+				t.Fatalf("LoadKeyfile returned a registry with error %v", err)
+			}
+			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("loaded a keyfile that is not one JSON document: %q", data)
+		}
+		tenants := r.Tenants()
+		if len(tenants) < 1 || len(tenants) > MaxTenants {
+			t.Fatalf("registry holds %d tenants, want 1..%d", len(tenants), MaxTenants)
+		}
+		now := time.Unix(1700000000, 0)
+		r.SetClock(func() time.Time { return now })
+		names := make(map[string]bool, len(tenants))
+		for _, tn := range tenants {
+			sp := tn.Spec
+			if !validName(sp.Name) || reserved[sp.Name] || names[sp.Name] {
+				t.Fatalf("tenant name %q is invalid, reserved or repeated", sp.Name)
+			}
+			names[sp.Name] = true
+			if sp.Key != "" {
+				t.Fatalf("tenant %q retained its raw key", sp.Name)
+			}
+			if sp.Weight < 1 {
+				t.Fatalf("tenant %q has weight %d", sp.Name, sp.Weight)
+			}
+			if sp.RatePerSec <= 0 {
+				continue
+			}
+			if ok, _ := r.Allow(tn); !ok {
+				t.Fatalf("tenant %q (rate %g, burst %g) refused its first request", sp.Name, sp.RatePerSec, sp.Burst)
+			}
+			if sp.Burst > 64 {
+				continue
+			}
+			for i := 0; i < 64; i++ {
+				if ok, wait := r.Allow(tn); !ok {
+					if wait <= 0 {
+						t.Fatalf("tenant %q (rate %g, burst %g) refused with Retry-After %v", sp.Name, sp.RatePerSec, sp.Burst, wait)
+					}
+					break
+				}
+			}
+		}
+	})
 }

@@ -11,9 +11,10 @@ import (
 // TestSchemeASteadyStateAllocBudget pins the wakeup hot path on a warm
 // reused engine: the only remaining per-run allocations are the batched
 // node backing, the Result bookkeeping, and one child-port send slice per
-// internal tree node (BENCH_sim.json records 342 allocs/op at n=1024).
-// The budget scales with the number of nodes; the pre-PR path allocated
-// several times per message and would blow it by an order of magnitude.
+// internal tree node, so the count grows with the tree's internal nodes
+// and never with the message count (89 on this n = 256 instance). The
+// budget of n/2 + 64 holds for any tree with at most n/2 internal nodes;
+// a path that allocated per message would exceed it many times over.
 func TestSchemeASteadyStateAllocBudget(t *testing.T) {
 	g, err := graphgen.RandomConnected(256, 1024, rand.New(rand.NewSource(1)))
 	if err != nil {
